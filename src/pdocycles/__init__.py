@@ -8,6 +8,7 @@ replication harness (repro) and exposed through the CLI (cli).
 
 from .errors import (
     BlockNotTraceComputable,
+    BudgetExceeded,
     DepthInsufficient,
     DimensionMismatch,
     InternalMismatch,
@@ -25,11 +26,8 @@ from .lattice import (
     DiagonalProfile,
     FiniteRankSupport,
     LatticeOperator,
-    add,
     commutator,
     compose,
-    dense_window,
-    finite_rank_support,
     op_abs_derivative,
     op_derivative,
     op_finite,
@@ -38,8 +36,6 @@ from .lattice import (
     op_projection_plus,
     op_projection_zero,
     op_z_power,
-    scale,
-    trace,
 )
 from .forms import (
     OperatorForm,
@@ -47,6 +43,7 @@ from .forms import (
     ce_coboundary,
     chern_cochain,
     chern_cocycle,
+    chern_expansion,
     curvature,
     curvature_form,
     form_bracket,

@@ -8,7 +8,7 @@ structured JSON document; identical configuration yields byte-identical
 structured output.
 
 Exit codes: 0 success, 1 verification/assertion failure, 2 usage or
-parse errors.
+parse errors and inputs refused by a size budget.
 """
 
 from __future__ import annotations
@@ -17,9 +17,16 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
+from math import factorial
 
 from . import repro
-from .errors import OperatorParseError, PdoCyclesError, ReproAssertionFailed
+from .errors import (
+    BudgetExceeded,
+    OperatorParseError,
+    PdoCyclesError,
+    ReproAssertionFailed,
+)
 from .exprparse import (
     operator_from_document,
     parse_expression,
@@ -29,9 +36,15 @@ from .exprparse import (
     matrix_to_json,
     symbol_from_document,
 )
-from .forms import chern_cocycle, chern_permutation_table, curvature
-from .lattice import LatticeOperator, exact_rank, op_z_power
-from .scalars import GaussianRational
+from .forms import (
+    chern_cochain,
+    chern_cocycle,
+    chern_permutation_table,
+    curvature,
+    hochschild_coboundary,
+)
+from .lattice import exact_rank, op_z_power
+from .scalars import GaussianRational, ZERO
 from .symbols import DEFAULT_DEPTH, radul_cocycle, wodzicki_residue
 
 
@@ -55,6 +68,8 @@ class RunConfig:
             raise ValueError("--k must be >= 1")
         if self.samples < 1:
             raise ValueError("--samples must be >= 1")
+        if self.degree < 0:
+            raise ValueError("--degree must be >= 0")
 
     def echo(self) -> dict:
         return {"command": self.command, "dim": self.dim, "seed": self.seed,
@@ -85,13 +100,30 @@ def _load_operands(path: str | None, dim: int) -> dict:
     return out
 
 
-def _sorted_entries(op: LatticeOperator):
-    entries = []
-    for j, prof in sorted(op.diagonals.items()):
-        for k in prof.window_modes():
-            entries.append((k + j, k, prof.entry(k)))
-    entries.sort(key=lambda e: (e[0], e[1]))
-    return entries
+def _support_rank(entries: dict, dim: int) -> int:
+    """Exact rank of a finite-rank operator on its support block: one row
+    per (source mode, component) and one column per (target mode,
+    component), for the modes its entries occupy."""
+    sources = sorted({col for _, col in entries})
+    targets = {mode: i for i, mode in
+               enumerate(sorted({row for row, _ in entries}))}
+    source_index = {mode: i for i, mode in enumerate(sources)}
+    block = [[ZERO] * (len(targets) * dim) for _ in range(len(sources) * dim)]
+    for (row, col), m in entries.items():
+        for r in range(dim):
+            for c in range(dim):
+                block[source_index[col] * dim + c][targets[row] * dim + r] = m.rows[r][c]
+    return exact_rank(block)
+
+
+def _alternated_value(k: int, rows) -> GaussianRational:
+    """The level-k cocycle value from its permutation table:
+    1/(2k)! * sum of sign(s) * trace over the rows."""
+    total = ZERO
+    for _, sign, t in rows:
+        if t:
+            total = total + t if sign > 0 else total - t
+    return total * GaussianRational(Fraction(1, factorial(2 * k)))
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -106,14 +138,9 @@ def cmd_omega(args) -> int:
         raise OperatorParseError("omega needs two operator expressions")
     om = curvature(a, b)
     support = om.finite_rank_support()
-    entries = _sorted_entries(om)
-    if support is None or support.source is None:
-        rank = 0
-        radius = 0
-    else:
-        radius = max(abs(support.source[0]), abs(support.source[1]),
-                     abs(support.target[0]), abs(support.target[1]))
-        rank = exact_rank(om.dense_window(radius))
+    blocks = om.finite_entries()
+    rank = _support_rank(blocks, om.dim)
+    entries = [(r, c, m) for (r, c), m in sorted(blocks.items())]
 
     doc = {
         "command": "omega", "config": cfg.echo(),
@@ -178,12 +205,15 @@ def cmd_cocycle(args) -> int:
         if isinstance(v, GaussianRational):
             raise OperatorParseError(f"operand {text!r} is a scalar")
         ops.append(v)
-    value = chern_cocycle(args.k, *ops)
+    if args.verbose:
+        rows = chern_permutation_table(args.k, *ops)
+        value = _alternated_value(args.k, rows)
+    else:
+        value = chern_cocycle(args.k, *ops)
     doc = {"command": "cocycle", "config": cfg.echo(), "level": "operator",
            "result": {"value": scalar_to_json(value)}}
     lines = [f"cocycle k={args.k} dim={args.dim}", f"value: {value}"]
     if args.verbose:
-        rows = chern_permutation_table(args.k, *ops)
         doc["result"]["permutations"] = [
             {"permutation": list(s), "sign": sign, "trace": scalar_to_json(t)}
             for s, sign, t in rows
@@ -225,9 +255,11 @@ def cmd_verify(args) -> int:
                                         args.degree, args.dim)
         failures = report.failures
         checked = len(report.rows)
+        cochain = chern_cochain(args.k, args.dim)
         extra = {
-            "hochschild_diagnostic": [scalar_to_json(r.hochschild_value)
-                                      for r in report.rows],
+            "hochschild_diagnostic": [
+                scalar_to_json(hochschild_coboundary(cochain, *r.args))
+                for r in report.rows],
         }
     elif args.kind == "bianchi":
         rep = repro.bianchi_sweep(args.samples, args.seed, args.degree, args.dim)
@@ -420,6 +452,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except OperatorParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except BudgetExceeded as exc:
+        print(f"refused: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

@@ -37,6 +37,11 @@ class InternalMismatch(PdoCyclesError):
     bug, never expected input behaviour."""
 
 
+class BudgetExceeded(PdoCyclesError):
+    """An input whose exact evaluation would pass a documented size budget;
+    refused before any of the work is done."""
+
+
 class OperatorParseError(PdoCyclesError):
     """Syntax error in an operator/symbol expression or literal document."""
 

@@ -12,17 +12,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import factorial
 from typing import Callable
 
-from .errors import BlockNotTraceComputable, NotCommuting, NotTraceComputable
+from .errors import (
+    BlockNotTraceComputable,
+    BudgetExceeded,
+    NotCommuting,
+    NotTraceComputable,
+)
 from .lattice import (
     LatticeOperator,
     commutator,
     compose,
+    op_finite,
     op_projection_plus,
 )
+from .matrices import MatrixCoeff
 from .scalars import GaussianRational, ZERO
 
 
@@ -46,15 +53,69 @@ def perm_sign(perm) -> int:
 
 # -- the connection and its curvature ---------------------------------------
 
+# Largest number of source modes J on which `curvature` builds the
+# curvature.  Each mode costs O(#diagonals^2) block products, and the
+# omega command's rank runs on a block with J*d rows; past this budget the
+# kernel refuses the input (BudgetExceeded) instead of starting.
+CURVATURE_MODE_BUDGET = 1024
+
+
 def theta(a: LatticeOperator) -> LatticeOperator:
     """Connection form: a composed with the positive-mode projection."""
     return compose(a, op_projection_plus(a.dim))
 
 
+def curvature_modes(a: LatticeOperator, b: LatticeOperator) -> int:
+    """J = -(most negative diagonal offset of a or b), or 0 when there is
+    none: curvature(a, b) lives on the source modes 1..J."""
+    return max(0, -min(chain(a.diagonals, b.diagonals), default=0))
+
+
+def _nonzero_column(op: LatticeOperator, mode: int) -> list:
+    """(offset j, block) for every nonzero entry of op on the source mode."""
+    column = []
+    for j, prof in op.diagonals.items():
+        block = prof.entry(mode)
+        if not block.is_zero():
+            column.append((j, block))
+    return column
+
+
 def curvature(a: LatticeOperator, b: LatticeOperator) -> LatticeOperator:
-    """theta_a theta_b - theta_b theta_a - theta_[a,b]; always finite rank."""
-    ta, tb = theta(a), theta(b)
-    return compose(ta, tb) - compose(tb, ta) - theta(commutator(a, b))
+    """theta_a theta_b - theta_b theta_a - theta_[a,b]; always finite rank.
+
+    With the strict projection P+ (modes k >= 1) the definition reduces
+    to (b P<=0 a - a P<=0 b) P+.  So the curvature is built on its support
+    directly: on a source mode k in 1..J the block to mode k + j1 + j2 is
+    b_{j2}(k + j1) @ a_{j1}(k) for every k + j1 <= 0, minus the same with
+    a and b exchanged.
+    """
+    a._check(b)
+    span = curvature_modes(a, b)
+    if span > CURVATURE_MODE_BUDGET:
+        raise BudgetExceeded(
+            f"the curvature would live on {span} source modes (a diagonal "
+            f"offset of {-span}); the budget is {CURVATURE_MODE_BUDGET}")
+    entries: dict[tuple[int, int], MatrixCoeff] = {}
+    for first, then, negate in ((a, b, False), (b, a, True)):
+        columns: dict[int, list] = {}  # the columns of `then` on modes <= 0
+        for j1, p1 in first.diagonals.items():
+            for k in range(1, 1 - j1):
+                x = p1.entry(k)
+                if x.is_zero():
+                    continue
+                mid = k + j1
+                if mid not in columns:
+                    columns[mid] = _nonzero_column(then, mid)
+                for j2, y in columns[mid]:
+                    block = y @ x
+                    if block.is_zero():
+                        continue
+                    if negate:
+                        block = -block
+                    key = (mid + j2, k)
+                    entries[key] = entries[key] + block if key in entries else block
+    return op_finite(a.dim, entries)
 
 
 def smoothing_part(a: LatticeOperator, b: LatticeOperator) -> LatticeOperator:
@@ -73,8 +134,6 @@ class OperatorForm:
 
     arity: int
     rule: Callable
-    tag: str = "custom"
-    dim: int = 1
 
     def __call__(self, *args: LatticeOperator) -> LatticeOperator:
         if len(args) != self.arity:
@@ -82,12 +141,12 @@ class OperatorForm:
         return self.rule(*args)
 
 
-def theta_form(dim: int = 1) -> OperatorForm:
-    return OperatorForm(1, theta, "theta", dim)
+def theta_form() -> OperatorForm:
+    return OperatorForm(1, theta)
 
 
-def curvature_form(dim: int = 1) -> OperatorForm:
-    return OperatorForm(2, curvature, "curvature", dim)
+def curvature_form() -> OperatorForm:
+    return OperatorForm(2, curvature)
 
 
 def form_wedge(alpha: OperatorForm, beta: OperatorForm) -> OperatorForm:
@@ -108,7 +167,7 @@ def form_wedge(alpha: OperatorForm, beta: OperatorForm) -> OperatorForm:
             total = total + term
         return total.scale(norm)
 
-    return OperatorForm(p + q, rule, "wedge", alpha.dim)
+    return OperatorForm(p + q, rule)
 
 
 def form_bracket(alpha: OperatorForm, beta: OperatorForm) -> OperatorForm:
@@ -124,7 +183,7 @@ def form_bracket(alpha: OperatorForm, beta: OperatorForm) -> OperatorForm:
             return ab(*args) - second
         return ab(*args) + second
 
-    return OperatorForm(p + q, rule, "bracket", alpha.dim)
+    return OperatorForm(p + q, rule)
 
 
 def form_differential(alpha: OperatorForm) -> OperatorForm:
@@ -142,7 +201,7 @@ def form_differential(alpha: OperatorForm) -> OperatorForm:
             total = total + term
         return total
 
-    return OperatorForm(p + 1, rule, "differential", alpha.dim)
+    return OperatorForm(p + 1, rule)
 
 
 # -- scalar cochains ---------------------------------------------------------
@@ -162,40 +221,139 @@ class ScalarCochain:
         return self.rule(*args)
 
 
+# The trace cocycle sums sign(s) tr(omega(s1, s2) ... omega(s(2k-1), s(2k)))
+# over s in S_2k.  Swapping the two indices of a pair negates both the
+# curvature factor and sign(s); rotating the pairs cyclically keeps sign(s)
+# and, since the factors are finite rank, the trace.  So sign(s) times the
+# trace is constant on the classes these moves generate, each class holds
+# 2^k k permutations, and one trace per class, (2k)!/(2^k k) in all, gives
+# the value and every row of the permutation table.  A class is named by
+# its representative: pairs in increasing order, the pair holding 0 first.
+
+
+def _columns(op: LatticeOperator) -> dict[int, dict[int, MatrixCoeff]]:
+    """Finite-rank operator as source mode -> {target mode: block}."""
+    cols: dict[int, dict[int, MatrixCoeff]] = {}
+    for (row, col), block in op.finite_entries().items():
+        cols.setdefault(col, {})[row] = block
+    return cols
+
+
+def _then(x: dict, y: dict) -> dict:
+    """The product x o y of two operators in column form."""
+    out = {}
+    for col, y_col in y.items():
+        acc: dict[int, MatrixCoeff] = {}
+        for mid, y_block in y_col.items():
+            for row, x_block in x.get(mid, {}).items():
+                block = x_block @ y_block
+                acc[row] = acc[row] + block if row in acc else block
+        acc = {row: block for row, block in acc.items() if not block.is_zero()}
+        if acc:
+            out[col] = acc
+    return out
+
+
+def _trace(y: dict) -> GaussianRational:
+    """tr(y) for an operator in column form."""
+    return sum((y_col[col].trace() for col, y_col in y.items() if col in y_col),
+               ZERO)
+
+
+def _pair_trace(x: dict, y: dict) -> GaussianRational:
+    """tr(x o y) for operators in column form, without forming x o y."""
+    total = ZERO
+    for col, y_col in y.items():
+        for mid, y_block in y_col.items():
+            x_block = x.get(mid, {}).get(col)
+            if x_block is not None:
+                total = total + (x_block @ y_block).trace()
+    return total
+
+
+def _representative(s) -> tuple[tuple[int, ...], bool]:
+    """The class representative of the permutation s, and whether an odd
+    number of its pairs were swapped to reach it."""
+    pairs = [(s[t], s[t + 1]) for t in range(0, len(s), 2)]
+    flip = sum(1 for i, j in pairs if i > j) % 2 == 1
+    pairs = [(min(p), max(p)) for p in pairs]
+    lead = next(t for t, p in enumerate(pairs) if p[0] == 0)
+    rep = tuple(i for p in pairs[lead:] + pairs[:lead] for i in p)
+    return rep, flip
+
+
+@dataclass(frozen=True)
+class ChernExpansion:
+    """The level-k trace cocycle on one operator tuple, as one term per
+    permutation class: (representative, trace of its curvature product)."""
+
+    k: int
+    terms: tuple[tuple[tuple[int, ...], GaussianRational], ...]
+
+    @property
+    def value(self) -> GaussianRational:
+        """1/(2k)! * sum over S_2k of sign(s) tr(...), summed by class."""
+        total = ZERO
+        for rep, trace in self.terms:
+            total = total + trace if perm_sign(rep) > 0 else total - trace
+        k = self.k
+        return total * GaussianRational(Fraction(2 ** k * k, factorial(2 * k)))
+
+    def table(self):
+        """Every permutation s of S_2k, in itertools order, as
+        (s, sign(s), trace of its curvature product)."""
+        traces = dict(self.terms)
+        rows = []
+        for s in permutations(range(2 * self.k)):
+            rep, flip = _representative(s)
+            rows.append((s, perm_sign(s), -traces[rep] if flip else traces[rep]))
+        return rows
+
+
+def chern_expansion(k: int, *args: LatticeOperator) -> ChernExpansion:
+    """Trace one curvature product per permutation class of S_2k.
+
+    Products are shared along common prefixes, and the last factor is
+    only paired against the prefix for the trace, never multiplied out.
+    """
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    if len(args) != 2 * k:
+        raise ValueError(f"expected {2 * k} arguments, got {len(args)}")
+    omegas: dict[tuple[int, int], dict] = {}
+
+    def omega(i: int, j: int) -> dict:
+        if (i, j) not in omegas:
+            omegas[(i, j)] = _columns(curvature(args[i], args[j]))
+        return omegas[(i, j)]
+
+    terms = []
+
+    def walk(rep: tuple[int, ...], rest: list[int], prefix: dict | None):
+        pairs = ([(0, j) for j in rest[1:]] if not rep
+                 else combinations(rest, 2))
+        for i, j in pairs:
+            remaining = [t for t in rest if t not in (i, j)]
+            if remaining:
+                factor = omega(i, j)
+                walk(rep + (i, j), remaining,
+                     factor if prefix is None else _then(prefix, factor))
+            elif prefix is None:
+                terms.append((rep + (i, j), _trace(omega(i, j))))
+            else:
+                terms.append((rep + (i, j), _pair_trace(prefix, omega(i, j))))
+
+    walk((), list(range(2 * k)), None)
+    return ChernExpansion(k, tuple(terms))
+
+
 def chern_cocycle(k: int, *args: LatticeOperator) -> GaussianRational:
     """Alternating trace of the k-th power of the curvature:
 
     1/(2k)! * sum over s in S_2k of sign(s) *
     tr(curvature(a_s1, a_s2) o ... o curvature(a_s(2k-1), a_s(2k)))
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if len(args) != 2 * k:
-        raise ValueError(f"expected {2 * k} arguments, got {len(args)}")
-    # Curvature is antisymmetric, so cache it on index pairs i < j.
-    cache: dict[tuple[int, int], LatticeOperator] = {}
-
-    def omega(i: int, j: int) -> LatticeOperator:
-        if i < j:
-            key, flip = (i, j), False
-        else:
-            key, flip = (j, i), True
-        if key not in cache:
-            cache[key] = curvature(args[key[0]], args[key[1]])
-        return -cache[key] if flip else cache[key]
-
-    total = ZERO
-    for s in permutations(range(2 * k)):
-        prod = omega(s[0], s[1])
-        for t in range(1, k):
-            if prod.is_zero():
-                break
-            prod = compose(prod, omega(s[2 * t], s[2 * t + 1]))
-        value = prod.trace()
-        if perm_sign(s) < 0:
-            value = -value
-        total = total + value
-    return total * GaussianRational(Fraction(1, factorial(2 * k)))
+    return chern_expansion(k, *args).value
 
 
 def chern_cochain(k: int, dim: int = 1) -> ScalarCochain:
@@ -206,25 +364,7 @@ def chern_cochain(k: int, dim: int = 1) -> ScalarCochain:
 def chern_permutation_table(k: int, *args: LatticeOperator):
     """Per-permutation breakdown of chern_cocycle: list of
     (permutation, sign, trace of the curvature product)."""
-    if len(args) != 2 * k:
-        raise ValueError(f"expected {2 * k} arguments, got {len(args)}")
-    cache: dict[tuple[int, int], LatticeOperator] = {}
-
-    def omega(i: int, j: int) -> LatticeOperator:
-        key = (i, j) if i < j else (j, i)
-        if key not in cache:
-            cache[key] = curvature(args[key[0]], args[key[1]])
-        return cache[key] if i < j else -cache[key]
-
-    rows = []
-    for s in permutations(range(2 * k)):
-        prod = omega(s[0], s[1])
-        for t in range(1, k):
-            if prod.is_zero():
-                break
-            prod = compose(prod, omega(s[2 * t], s[2 * t + 1]))
-        rows.append((s, perm_sign(s), prod.trace()))
-    return rows
+    return chern_expansion(k, *args).table()
 
 
 def ce_coboundary(c: ScalarCochain, *args: LatticeOperator) -> GaussianRational:
@@ -263,11 +403,6 @@ def hochschild_coboundary(c: ScalarCochain, *args: LatticeOperator) -> GaussianR
     if p % 2:
         wrap = -wrap
     return total + wrap
-
-
-def ce_coboundary_cochain(c: ScalarCochain) -> ScalarCochain:
-    return ScalarCochain(c.arity + 1, lambda *args: ce_coboundary(c, *args),
-                         skew=True, label=f"d({c.label})")
 
 
 # -- comparison cocycles -----------------------------------------------------

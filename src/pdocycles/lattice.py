@@ -319,6 +319,19 @@ class LatticeOperator:
             self.dim * min(len(sources), len(targets)),
         )
 
+    def finite_entries(self) -> dict[tuple[int, int], MatrixCoeff]:
+        """The nonzero blocks (target mode, source mode) -> MatrixCoeff of
+        an operator whose diagonals are all pure finite windows; the
+        inverse of op_finite."""
+        entries = {}
+        for j, prof in self.diagonals.items():
+            if not prof.is_pure_window():
+                raise ValueError("operator has a polynomial tail, so it is "
+                                 "not finite rank")
+            for k, block in prof.window.items():
+                entries[(k + j, k)] = block
+        return entries
+
     def trace(self) -> GaussianRational:
         """Sum of the per-mode matrix traces of the main diagonal.
 
@@ -432,28 +445,8 @@ def compose(a: LatticeOperator, b: LatticeOperator) -> LatticeOperator:
     return LatticeOperator(a.dim, acc)
 
 
-def add(a: LatticeOperator, b: LatticeOperator) -> LatticeOperator:
-    return a + b
-
-
-def scale(lam, a: LatticeOperator) -> LatticeOperator:
-    return a.scale(lam)
-
-
 def commutator(a: LatticeOperator, b: LatticeOperator) -> LatticeOperator:
     return compose(a, b) - compose(b, a)
-
-
-def trace(a: LatticeOperator) -> GaussianRational:
-    return a.trace()
-
-
-def finite_rank_support(a: LatticeOperator) -> FiniteRankSupport | None:
-    return a.finite_rank_support()
-
-
-def dense_window(a: LatticeOperator, n: int) -> list[list[GaussianRational]]:
-    return a.dense_window(n)
 
 
 # -- dense-window helpers (brute-force oracle side) --------------------------
@@ -479,12 +472,9 @@ def dense_mul(a: list[list[GaussianRational]],
     return out
 
 
-def dense_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def dense_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    """Entrywise a - b; an entry of a is kept as it is where b is zero."""
+    return [[x - y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def dense_trace(a) -> GaussianRational:

@@ -231,11 +231,6 @@ def builtin_symbol(name: str, dim: int = 1, depth: int = DEFAULT_DEPTH) -> Forma
     return FormalSymbol(dim, order, parts)
 
 
-def zero_symbol(dim: int = 1, order: int = 0, depth: int = DEFAULT_DEPTH) -> FormalSymbol:
-    return FormalSymbol(dim, order,
-                        [PartialSymbol.zero(order - t, dim) for t in range(depth)])
-
-
 # -- the product --------------------------------------------------------------
 
 def star_product(a: FormalSymbol, b: FormalSymbol,

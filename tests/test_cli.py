@@ -47,6 +47,20 @@ class TestOmega:
         code, _, err = run(capsys, "omega", "3", "z")
         assert code == 2
 
+    def test_offset_past_mode_budget_refused(self, capsys):
+        code, out, err = run(capsys, "omega", "z^-1000000000", "z^1")
+        assert code == 2
+        assert out == ""
+        assert "refused" in err and "budget" in err
+
+    def test_rank_on_support_block_far_from_mode_zero(self, capsys):
+        # sources 1..5, targets 999996..1000000: the rank needs a 5 x 5
+        # block, not a dense window of radius 10^6
+        code, out, _ = run(capsys, "omega", "z^-5", "z^1000000")
+        assert code == 0
+        assert "target modes [999996, 1000000]" in out
+        assert "rank: 5" in out
+
 
 class TestCocycle:
     def test_unit_shift_value(self, capsys):
@@ -66,6 +80,11 @@ class TestCocycle:
         assert code == 0
         assert "value: 0" in out
 
+    def test_offset_past_mode_budget_refused(self, capsys):
+        code, _, err = run(capsys, "cocycle", "--k", "1", "z^-100000", "z^100000")
+        assert code == 2
+        assert "refused" in err
+
     def test_wrong_operand_count(self, capsys):
         code, _, err = run(capsys, "cocycle", "--k", "2", "z^-1", "z^1")
         assert code == 2
@@ -79,6 +98,18 @@ class TestCocycle:
         perms = doc["result"]["permutations"]
         assert len(perms) == 2
         assert {tuple(p["permutation"]) for p in perms} == {(0, 1), (1, 0)}
+
+    def test_verbose_value_matches_plain_value(self, capsys):
+        # A non-commuting k=2 tuple whose cocycle value is -2/3.
+        operands = ["P_PLUS+2*z^-1", "z^2*P_MINUS+3*D*z^1", "z^-2+3*z^-1",
+                    "D*z^1+2*P_PLUS"]
+        values = []
+        for extra in ([], ["--verbose"]):
+            code, out, _ = run(capsys, "cocycle", "--k", "2", *operands,
+                               *extra, "--format", "structured")
+            assert code == 0
+            values.append(json.loads(out)["result"]["value"])
+        assert values[0] == values[1] == ["-2/3", "0"]
 
     def test_matrix_fiber(self, capsys):
         code, out, _ = run(capsys, "cocycle", "--k", "1", "--dim", "2",
@@ -132,6 +163,12 @@ class TestVerify:
     def test_bad_config(self, capsys):
         code, _, err = run(capsys, "verify", "closedness", "--dim", "0")
         assert code == 2
+
+    def test_negative_degree_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "closedness", "--degree", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--degree" in err
 
 
 class TestRepro:

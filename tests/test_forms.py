@@ -1,17 +1,23 @@
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pdocycles.errors import NotCommuting
+from pdocycles.errors import BudgetExceeded, NotCommuting
 from pdocycles.forms import (
+    CURVATURE_MODE_BUDGET,
     ScalarCochain,
     ce_coboundary,
     chern_cochain,
     chern_cocycle,
+    chern_expansion,
     chern_permutation_table,
     curvature,
     curvature_form,
+    curvature_modes,
     form_bracket,
     form_differential,
     form_wedge,
@@ -32,13 +38,16 @@ from pdocycles.lattice import (
     dense_mul,
     dense_sub,
     dense_trace,
+    op_abs_derivative,
     op_derivative,
     op_from_laurent,
     op_projection_plus,
+    op_projection_zero,
     op_z_power,
 )
 from pdocycles.laurent import LaurentPoly
 from pdocycles.matrices import MatrixCoeff
+from pdocycles.repro import random_span_element, span_generators
 from pdocycles.scalars import GaussianRational
 
 ZERO = GaussianRational(0)
@@ -130,6 +139,88 @@ class TestThetaAndCurvature:
                     == curvature(b, a) + curvature(b, a2).scale(lam))
 
 
+def random_pair(rng, pool, commutator_argument):
+    a, b = random_span_element(rng, pool), random_span_element(rng, pool)
+    if commutator_argument:
+        b = commutator(b, random_span_element(rng, pool))
+    return a, b
+
+
+def covering_radius(a, b):
+    """A window radius that holds every mode the curvature touches, and
+    every mode its dense-window route passes through."""
+    offsets = [abs(j) for j in list(a.diagonals) + list(b.diagonals)]
+    return curvature_modes(a, b) + 2 * max(offsets, default=0) + 1
+
+
+class TestCurvatureKernel:
+    """The support-built curvature against the routes it replaced: the
+    profile route a[p+,b]p+ - b[p+,a]p+ and the dense-window brute force."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_profile_route(self, dim):
+        rng = random.Random(40 + dim)
+        pool = span_generators(dim, 3, include_abs=True)
+        for i in range(30):
+            a, b = random_pair(rng, pool, commutator_argument=i % 3 == 0)
+            assert curvature(a, b) == smoothing_part(a, b)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_dense_window(self, dim):
+        rng = random.Random(50 + dim)
+        pool = span_generators(dim, 2)
+        for i in range(6):
+            a, b = random_pair(rng, pool, commutator_argument=i % 3 == 0)
+            n = covering_radius(a, b)
+            assert curvature(a, b).dense_window(n) == dense_curvature(a, b, n)
+
+    def test_operands_without_negative_offsets(self):
+        d, ad = op_derivative(), op_abs_derivative()
+        cases = [(op_z_power(2), d), (ad, op_z_power(1) + op_projection_plus()),
+                 (op_projection_zero(), op_z_power(3)), (d, ad)]
+        for a, b in cases:
+            assert curvature_modes(a, b) == 0
+            assert curvature(a, b).is_zero()
+            assert smoothing_part(a, b).is_zero()
+        # one negative offset is enough for a nonzero curvature
+        a, b = op_z_power(-2) + d, op_z_power(1)
+        assert curvature(a, b) == smoothing_part(a, b)
+        assert not curvature(a, b).is_zero()
+
+    def test_refuses_past_the_mode_budget(self):
+        edge = op_z_power(-CURVATURE_MODE_BUDGET)
+        assert curvature(edge, op_z_power(1)) == smoothing_part(edge, op_z_power(1))
+        with pytest.raises(BudgetExceeded):
+            curvature(op_z_power(1), op_z_power(-CURVATURE_MODE_BUDGET - 1))
+
+
+def small_operator(terms):
+    """Sum of c * z^m (composed with D when flagged) over the terms."""
+    out = LatticeOperator.zero(1)
+    for m, c, with_d in terms:
+        term = op_z_power(m).scale(c)
+        out = out + (compose(term, op_derivative()) if with_d else term)
+    return out
+
+
+operator_terms = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(-3, 3).filter(bool), st.booleans()),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operator_terms, operator_terms)
+def test_curvature_antisymmetric_and_supported_on_low_modes(ta, tb):
+    a, b = small_operator(ta), small_operator(tb)
+    om = curvature(a, b)
+    assert curvature(b, a) == -om
+    assert curvature(a, a).is_zero()
+    support = om.finite_rank_support()
+    assert support is not None
+    if support.source is not None:
+        assert 1 <= support.source[0] <= support.source[1] <= curvature_modes(a, b)
+
+
 class TestSmoothingPart:
     def test_equals_curvature_structurally(self):
         rng = random.Random(3)
@@ -159,7 +250,7 @@ class TestSmoothingPart:
 class TestFormCalculus:
     def test_wedge_unrolls_at_arity_one(self):
         rng = random.Random(4)
-        th = theta_form(1)
+        th = theta_form()
         w = form_wedge(th, th)
         for _ in range(8):
             a, b = rand_laurent_op(rng), rand_laurent_op(rng)
@@ -169,7 +260,7 @@ class TestFormCalculus:
 
     def test_structure_equation(self):
         rng = random.Random(5)
-        th = theta_form(1)
+        th = theta_form()
         dth = form_differential(th)
         w = form_wedge(th, th)
         d = op_derivative()
@@ -180,9 +271,9 @@ class TestFormCalculus:
 
     def test_bianchi_identity(self):
         rng = random.Random(6)
-        om = curvature_form(1)
+        om = curvature_form()
         dom = form_differential(om)
-        br = form_bracket(theta_form(1), om)
+        br = form_bracket(theta_form(), om)
         d = op_derivative()
         for _ in range(10):
             a = rand_laurent_op(rng) + d.scale(rng.randint(0, 1))
@@ -191,7 +282,7 @@ class TestFormCalculus:
 
     def test_alternation_of_wedge(self):
         rng = random.Random(7)
-        om = curvature_form(1)
+        om = curvature_form()
         w = form_wedge(om, om)
         a, b, c = (rand_laurent_op(rng) for _ in range(3))
         assert w(a, a, b, c).is_zero()
@@ -251,6 +342,68 @@ class TestChernCocycle:
         assert len(rows) == 24
         total = sum((t if s > 0 else -t for _, s, t in rows), ZERO)
         assert total * GaussianRational(Fraction(1, 24)) == chern_cocycle(2, *args)
+
+
+def full_permutation_table(k, args):
+    """The (2k)! sum term by term on the profile route: the oracle for the
+    class-reduced expansion."""
+    omegas = {(i, j): smoothing_part(args[i], args[j])
+              for i in range(2 * k) for j in range(2 * k) if i != j}
+    rows = []
+    for s in permutations(range(2 * k)):
+        prod = omegas[(s[0], s[1])]
+        for t in range(1, k):
+            prod = compose(prod, omegas[(s[2 * t], s[2 * t + 1])])
+        rows.append((s, perm_sign(s), prod.trace()))
+    return rows
+
+
+def alternated_value(k, rows):
+    total = sum((t if sign > 0 else -t for _, sign, t in rows), ZERO)
+    return total * GaussianRational(Fraction(1, factorial(2 * k)))
+
+
+class TestClassReduction:
+    def test_level_two_against_full_sum(self):
+        # About one random 4-tuple in fifteen has a nonzero value; this
+        # seed's twelve hold three, so the value is checked off zero too.
+        rng = random.Random(18)
+        pool = span_generators(1, 2, include_abs=True)
+        nonzero = 0
+        for _ in range(12):
+            args = [random_span_element(rng, pool) for _ in range(4)]
+            rows = full_permutation_table(2, args)
+            assert chern_permutation_table(2, *args) == rows
+            value = chern_cocycle(2, *args)
+            assert value == alternated_value(2, rows)
+            nonzero += bool(value)
+        assert nonzero >= 2
+
+    def test_level_two_matrix_fiber_against_full_sum(self):
+        rng = random.Random(20)
+        pool = span_generators(2, 1)
+        for _ in range(4):
+            args = [random_span_element(rng, pool) for _ in range(4)]
+            rows = full_permutation_table(2, args)
+            assert chern_permutation_table(2, *args) == rows
+            assert chern_cocycle(2, *args) == alternated_value(2, rows)
+
+    @pytest.mark.parametrize("pairs", [(1, 2, 3), (2, 2, 1), (3, -1, 2)])
+    def test_level_three_shift_table_against_full_sum(self, pairs):
+        # Exponents in (x, -x) pairs sum to 0, so rows are nonzero.
+        rng = random.Random(sum(pairs))
+        ms = [m for x in pairs for m in (x, -x)]
+        rng.shuffle(ms)
+        args = [op_z_power(m) for m in ms]
+        rows = full_permutation_table(3, args)
+        assert any(t for _, _, t in rows)
+        assert chern_permutation_table(3, *args) == rows
+        assert chern_cocycle(3, *args) == alternated_value(3, rows)
+
+    def test_class_counts(self):
+        args = [op_z_power(m) for m in (-1, 1, -2, 2, -3, 3)]
+        for k, classes in ((1, 1), (2, 3), (3, 30)):
+            assert len(chern_expansion(k, *args[:2 * k]).terms) == classes
 
 
 class TestCoboundaries:

@@ -147,6 +147,20 @@ class TestCommutatorWithProjection:
         assert (LatticeOperator.zero(1).finite_rank_support()
                 == FiniteRankSupport(None, None, 0))
 
+    def test_finite_entries_invert_op_finite(self):
+        rng = random.Random(5)
+        for dim in (1, 2):
+            entries = {}
+            for _ in range(6):
+                block = MatrixCoeff([[rand_coeff(rng) for _ in range(dim)]
+                                     for _ in range(dim)])
+                if not block.is_zero():
+                    entries[(rng.randint(-4, 4), rng.randint(-4, 4))] = block
+            assert op_finite(dim, entries).finite_entries() == entries
+        assert LatticeOperator.zero(1).finite_entries() == {}
+        with pytest.raises(ValueError):
+            op_derivative().finite_entries()
+
 
 class TestTrace:
     def test_identity_not_trace_computable(self):
