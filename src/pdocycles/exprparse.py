@@ -47,6 +47,12 @@ from .symbols import (
 OPERATOR_BUILTINS = ("P_PLUS", "P_MINUS", "P_ZERO", "D", "ABS_D")
 SYMBOL_BUILTINS = ("P_PLUS", "P_MINUS", "D", "ABS_D", "DELTA")
 
+# Deepest nesting an expression may have: each open '(', '[' or '{' and
+# each unary sign is one level.  Parsing and evaluation recurse once per
+# level, so deeper input is refused (OperatorParseError) instead of
+# running out of Python stack.
+MAX_EXPRESSION_DEPTH = 100
+
 
 # -- documents ----------------------------------------------------------------
 
@@ -152,6 +158,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -160,6 +167,13 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def descend(self, pos: int):
+        """Enter one nesting level."""
+        if self.depth == MAX_EXPRESSION_DEPTH:
+            raise OperatorParseError(
+                f"expression nested deeper than {MAX_EXPRESSION_DEPTH} levels", pos)
+        self.depth += 1
 
     def expect(self, kind: str):
         tok = self.next()
@@ -191,13 +205,14 @@ class _Parser:
         return node
 
     def unary(self):
-        if self.peek()[0] == "-":
-            self.next()
-            return ("neg", self.unary())
-        if self.peek()[0] == "+":
-            self.next()
-            return self.unary()
-        return self.atom()
+        kind, _, pos = self.peek()
+        if kind not in ("-", "+"):
+            return self.atom()
+        self.next()
+        self.descend(pos)
+        node = self.unary()
+        self.depth -= 1
+        return ("neg", node) if kind == "-" else node
 
     def _signed_int(self) -> int:
         sign = 1
@@ -235,15 +250,19 @@ class _Parser:
             return ("name", value, pos)
         if kind == "(":
             self.next()
+            self.descend(pos)
             node = self.expr()
             self.expect(")")
+            self.depth -= 1
             return node
         if kind == "[":
             self.next()
+            self.descend(pos)
             left = self.expr()
             self.expect(",")
             right = self.expr()
             self.expect("]")
+            self.depth -= 1
             return ("comm", left, right)
         if kind == "{":
             return self.matrix()
@@ -251,6 +270,7 @@ class _Parser:
 
     def matrix(self):
         _, _, pos = self.expect("{")
+        self.descend(pos)
         rows = []
         while True:
             self.expect("{")
@@ -265,6 +285,7 @@ class _Parser:
                 continue
             break
         self.expect("}")
+        self.depth -= 1
         return ("matrix", rows, pos)
 
 
@@ -274,6 +295,48 @@ def parse_expression(text: str):
 
 
 # -- evaluation ----------------------------------------------------------------
+
+_BINARY = ("add", "sub", "mul", "div")
+
+
+def _fold(node, ev, combine):
+    """Evaluate a left-leaning chain of binary nodes such as a+b-c+d: one
+    recursion per operand, none per operator, so a long flat sum or
+    product needs no deep stack."""
+    spine = []
+    while node[0] in _BINARY:
+        spine.append(node)
+        node = node[1]
+    acc = ev(node)
+    for n in reversed(spine):
+        acc = combine(n[0], acc, ev(n[2]))
+    return acc
+
+
+def _combine(kind: str, a, b, product, noun: str):
+    """a + b, a - b, a * b or a / b, where a and b are scalars or elements
+    of the algebra whose product is `product`."""
+    scalar_a = isinstance(a, GaussianRational)
+    scalar_b = isinstance(b, GaussianRational)
+    if kind in ("add", "sub"):
+        if scalar_a != scalar_b:
+            raise OperatorParseError(
+                f"cannot add a scalar to {noun} (use z^0 for the identity)")
+        return a + b if kind == "add" else a - b
+    if kind == "mul":
+        if scalar_a and scalar_b:
+            return a * b
+        if scalar_a:
+            return b.scale(a)
+        if scalar_b:
+            return a.scale(b)
+        return product(a, b)
+    if not scalar_b:
+        raise OperatorParseError("can only divide by a scalar")
+    if scalar_a:
+        return a / b
+    return a.scale(GaussianRational(1) / b)
+
 
 def _eval_matrix(rows, dim: int, evaluator) -> MatrixCoeff:
     if len(rows) != dim or any(len(r) != dim for r in rows):
@@ -295,6 +358,9 @@ def eval_operator(node, dim: int = 1, operands: dict | None = None) -> "LatticeO
     """Evaluate in the lattice-operator algebra.  '*' composes, scalars
     scale, [x, y] is the commutator."""
     env = operands or {}
+
+    def combine(kind, a, b):
+        return _combine(kind, a, b, compose, "an operator")
 
     def ev(n):
         kind = n[0]
@@ -324,28 +390,8 @@ def eval_operator(node, dim: int = 1, operands: dict | None = None) -> "LatticeO
         if kind == "neg":
             v = ev(n[1])
             return -v
-        if kind in ("add", "sub"):
-            a, b = ev(n[1]), ev(n[2])
-            if isinstance(a, GaussianRational) != isinstance(b, GaussianRational):
-                raise OperatorParseError(
-                    "cannot add a scalar to an operator (use z^0 for the identity)")
-            return a + b if kind == "add" else a - b
-        if kind == "mul":
-            a, b = ev(n[1]), ev(n[2])
-            if isinstance(a, GaussianRational) and isinstance(b, GaussianRational):
-                return a * b
-            if isinstance(a, GaussianRational):
-                return b.scale(a)
-            if isinstance(b, GaussianRational):
-                return a.scale(b)
-            return compose(a, b)
-        if kind == "div":
-            a, b = ev(n[1]), ev(n[2])
-            if not isinstance(b, GaussianRational):
-                raise OperatorParseError("can only divide by a scalar")
-            if isinstance(a, GaussianRational):
-                return a / b
-            return a.scale(GaussianRational(1) / b)
+        if kind in _BINARY:
+            return _fold(n, ev, combine)
         if kind == "comm":
             a, b = ev(n[1]), ev(n[2])
             if isinstance(a, GaussianRational) or isinstance(b, GaussianRational):
@@ -360,6 +406,9 @@ def eval_symbol(node, dim: int = 1, depth: int = DEFAULT_DEPTH,
                 operands: dict | None = None) -> "FormalSymbol | GaussianRational":
     """Evaluate in the formal symbol algebra; '*' is the star product."""
     env = operands or {}
+
+    def combine(kind, a, b):
+        return _combine(kind, a, b, star_product, "a symbol")
 
     def ev(n):
         kind = n[0]
@@ -385,28 +434,8 @@ def eval_symbol(node, dim: int = 1, depth: int = DEFAULT_DEPTH,
         if kind == "neg":
             v = ev(n[1])
             return -v
-        if kind in ("add", "sub"):
-            a, b = ev(n[1]), ev(n[2])
-            if isinstance(a, GaussianRational) != isinstance(b, GaussianRational):
-                raise OperatorParseError(
-                    "cannot add a scalar to a symbol (use z^0 for the identity)")
-            return a + b if kind == "add" else a - b
-        if kind == "mul":
-            a, b = ev(n[1]), ev(n[2])
-            if isinstance(a, GaussianRational) and isinstance(b, GaussianRational):
-                return a * b
-            if isinstance(a, GaussianRational):
-                return b.scale(a)
-            if isinstance(b, GaussianRational):
-                return a.scale(b)
-            return star_product(a, b)
-        if kind == "div":
-            a, b = ev(n[1]), ev(n[2])
-            if not isinstance(b, GaussianRational):
-                raise OperatorParseError("can only divide by a scalar")
-            if isinstance(a, GaussianRational):
-                return a / b
-            return a.scale(GaussianRational(1) / b)
+        if kind in _BINARY:
+            return _fold(n, ev, combine)
         if kind == "comm":
             a, b = ev(n[1]), ev(n[2])
             if isinstance(a, GaussianRational) or isinstance(b, GaussianRational):

@@ -59,6 +59,12 @@ def perm_sign(perm) -> int:
 # kernel refuses the input (BudgetExceeded) instead of starting.
 CURVATURE_MODE_BUDGET = 1024
 
+# Largest level k for which `chern_expansion` traces the permutation
+# classes: (2k)!/(2^k k) of them, 630 at k = 4 and 22680 at k = 5, whose
+# --verbose table would have (2k)! = 3628800 rows.  A larger k is refused
+# (BudgetExceeded) before any curvature is built.
+CHERN_LEVEL_BUDGET = 4
+
 
 def theta(a: LatticeOperator) -> LatticeOperator:
     """Connection form: a composed with the positive-mode projection."""
@@ -320,6 +326,12 @@ def chern_expansion(k: int, *args: LatticeOperator) -> ChernExpansion:
         raise ValueError("k must be a positive integer")
     if len(args) != 2 * k:
         raise ValueError(f"expected {2 * k} arguments, got {len(args)}")
+    if k > CHERN_LEVEL_BUDGET:
+        b = CHERN_LEVEL_BUDGET
+        raise BudgetExceeded(
+            f"level k={k} is above the budget k <= {b}; the cocycle traces "
+            f"(2k)!/(2^k k) permutation classes, {factorial(2 * b) // (2 ** b * b)} "
+            f"at k = {b}")
     omegas: dict[tuple[int, int], dict] = {}
 
     def omega(i: int, j: int) -> dict:

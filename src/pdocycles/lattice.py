@@ -13,10 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, NotTraceComputable
+from .errors import BudgetExceeded, DimensionMismatch, NotTraceComputable
 from .laurent import LaurentPoly
 from .matrices import MatPoly, MatrixCoeff
 from .scalars import GaussianRational, ZERO
+
+
+# Most modes a sum or pointwise product of two profiles may have to fill
+# between its bounds.  Both estimate the span from their operands' bounds
+# and refuse a wider one (BudgetExceeded) before evaluating any entry, so
+# an expression such as P_PLUS*z^-10000000 is refused at once instead of
+# filling a window of ten million modes.
+PROFILE_WINDOW_BUDGET = 1 << 14
 
 
 class DiagonalProfile:
@@ -129,17 +137,27 @@ def _profile_shift(p: DiagonalProfile, s: int) -> DiagonalProfile | None:
     )
 
 
-def _profile_add(p: DiagonalProfile, q: DiagonalProfile) -> DiagonalProfile | None:
+def _window_span(p: DiagonalProfile, q: DiagonalProfile) -> tuple[int, int]:
+    """The bounds (lo, hi) of a profile combining p and q entrywise; refused
+    when more than PROFILE_WINDOW_BUDGET modes lie strictly between them."""
     lo = min(p.left_bound, q.left_bound)
     hi = max(p.right_bound, q.right_bound)
+    if hi - lo - 1 > PROFILE_WINDOW_BUDGET:
+        raise BudgetExceeded(
+            f"a profile window of {hi - lo - 1} modes (between modes {lo} and "
+            f"{hi}); the budget is {PROFILE_WINDOW_BUDGET}")
+    return lo, hi
+
+
+def _profile_add(p: DiagonalProfile, q: DiagonalProfile) -> DiagonalProfile | None:
+    lo, hi = _window_span(p, q)
     window = {k: p.entry(k) + q.entry(k) for k in range(lo + 1, hi)}
     return make_profile(p.left + q.left, lo, window, hi, p.right + q.right)
 
 
 def _profile_mul(p: DiagonalProfile, q: DiagonalProfile) -> DiagonalProfile | None:
     """Pointwise matrix product k |-> p(k) @ q(k)."""
-    lo = min(p.left_bound, q.left_bound)
-    hi = max(p.right_bound, q.right_bound)
+    lo, hi = _window_span(p, q)
     window = {k: p.entry(k) @ q.entry(k) for k in range(lo + 1, hi)}
     return make_profile(p.left * q.left, lo, window, hi, p.right * q.right)
 

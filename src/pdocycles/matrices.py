@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .errors import DimensionMismatch
@@ -13,7 +12,8 @@ class MatrixCoeff:
     """A d x d matrix of GaussianRational entries.
 
     Used both as a Fourier coefficient of a matrix-valued function on the
-    circle and as a single lattice entry of an operator.
+    circle and as a single lattice entry of an operator.  Immutable: the
+    zero and identity matrices of each dimension are shared.
     """
 
     __slots__ = ("dim", "rows")
@@ -28,16 +28,17 @@ class MatrixCoeff:
 
     @classmethod
     def zero(cls, dim: int) -> "MatrixCoeff":
-        return cls(tuple((ZERO,) * dim for _ in range(dim)))
+        m = _ZEROS.get(dim)
+        if m is None:
+            m = _ZEROS[dim] = cls(((ZERO,) * dim,) * dim)
+        return m
 
     @classmethod
     def identity(cls, dim: int) -> "MatrixCoeff":
-        return cls(
-            tuple(
-                tuple(ONE if i == j else ZERO for j in range(dim))
-                for i in range(dim)
-            )
-        )
+        m = _IDENTITIES.get(dim)
+        if m is None:
+            m = _IDENTITIES[dim] = cls.scalar(dim, ONE)
+        return m
 
     @classmethod
     def unit(cls, dim: int, i: int, j: int) -> "MatrixCoeff":
@@ -65,57 +66,43 @@ class MatrixCoeff:
 
     def __add__(self, other: "MatrixCoeff") -> "MatrixCoeff":
         self._check(other)
-        return MatrixCoeff(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return _matrix(self.dim, tuple(
+            tuple(a + b for a, b in zip(ra, rb))
+            for ra, rb in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "MatrixCoeff") -> "MatrixCoeff":
         self._check(other)
-        return MatrixCoeff(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return _matrix(self.dim, tuple(
+            tuple(a - b for a, b in zip(ra, rb))
+            for ra, rb in zip(self.rows, other.rows)))
 
     def __neg__(self) -> "MatrixCoeff":
-        return MatrixCoeff(tuple(tuple(-a for a in row) for row in self.rows))
+        return _matrix(self.dim, tuple(tuple(-a for a in row) for row in self.rows))
 
     def __matmul__(self, other: "MatrixCoeff") -> "MatrixCoeff":
         self._check(other)
-        d = self.dim
         cols = tuple(zip(*other.rows))
-        return MatrixCoeff(
-            tuple(
-                tuple(
-                    sum((a * b for a, b in zip(row, col) if a and b), ZERO)
-                    for col in cols
-                )
-                for row in self.rows
-            )
-        )
+        return _matrix(self.dim, tuple(
+            tuple(_dot(row, col) for col in cols) for row in self.rows))
 
     def scale(self, lam) -> "MatrixCoeff":
         if not isinstance(lam, GaussianRational):
             lam = GaussianRational(lam)
         if not lam:
             return MatrixCoeff.zero(self.dim)
-        return MatrixCoeff(tuple(tuple(a * lam for a in row) for row in self.rows))
+        return _matrix(self.dim, tuple(tuple(a * lam for a in row) for row in self.rows))
 
     def matvec(self, vec) -> tuple:
-        return tuple(
-            sum((a * v for a, v in zip(row, vec) if a and v), ZERO)
-            for row in self.rows
-        )
+        return tuple(_dot(row, vec) for row in self.rows)
 
     def trace(self) -> GaussianRational:
         return sum((self.rows[i][i] for i in range(self.dim)), ZERO)
 
     def is_zero(self) -> bool:
-        return not any(any(entry for entry in row) for row in self.rows)
+        for row in self.rows:
+            if any(row):
+                return False
+        return True
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -131,6 +118,28 @@ class MatrixCoeff:
     def __repr__(self) -> str:
         body = "; ".join(", ".join(str(a) for a in row) for row in self.rows)
         return f"MatrixCoeff[{body}]"
+
+
+_new = object.__new__
+_ZEROS: dict[int, MatrixCoeff] = {}
+_IDENTITIES: dict[int, MatrixCoeff] = {}
+
+
+def _matrix(dim: int, rows: tuple) -> MatrixCoeff:
+    """A matrix from a tuple of dim row tuples of dim scalars (no checks)."""
+    m = _new(MatrixCoeff)
+    m.dim = dim
+    m.rows = rows
+    return m
+
+
+def _dot(row, col) -> GaussianRational:
+    """Sum of the products of the nonzero pairs of entries."""
+    acc = ZERO
+    for a, b in zip(row, col):
+        if a and b:
+            acc = a * b if acc is ZERO else acc + a * b
+    return acc
 
 
 class MatPoly:
@@ -169,21 +178,27 @@ class MatPoly:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
 
     def eval(self, k: int) -> MatrixCoeff:
-        acc = MatrixCoeff.zero(self.dim)
-        for coeff in reversed(self.coeffs):
-            acc = acc.scale(k) + coeff
-        return acc
+        """The matrix self(k), by Horner's rule on each entry."""
+        coeffs = self.coeffs
+        if len(coeffs) <= 1 or not k:
+            return coeffs[0] if coeffs else MatrixCoeff.zero(self.dim)
+        top, *lower = [c.rows for c in reversed(coeffs)]
+        out = []
+        for i, top_row in enumerate(top):
+            row = []
+            for j, acc in enumerate(top_row):
+                for c in lower:
+                    acc = acc * k + c[i][j]
+                row.append(acc)
+            out.append(tuple(row))
+        return _matrix(self.dim, tuple(out))
 
     def __add__(self, other: "MatPoly") -> "MatPoly":
         if self.dim != other.dim:
             raise DimensionMismatch("polynomial dims differ")
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = MatrixCoeff.zero(self.dim)
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else zero
-            b = other.coeffs[i] if i < len(other.coeffs) else zero
-            out.append(a + b)
+        short, long = sorted((self.coeffs, other.coeffs), key=len)
+        out = [a + b for a, b in zip(short, long)]
+        out.extend(long[len(short):])
         return MatPoly(self.dim, out)
 
     def __neg__(self) -> "MatPoly":
@@ -199,15 +214,17 @@ class MatPoly:
             raise DimensionMismatch("polynomial dims differ")
         if self.is_zero() or other.is_zero():
             return MatPoly.zero(self.dim)
-        out = [MatrixCoeff.zero(self.dim)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
             for j, b in enumerate(other.coeffs):
                 if b.is_zero():
                     continue
-                out[i + j] = out[i + j] + (a @ b)
-        return MatPoly(self.dim, out)
+                term = a @ b
+                out[i + j] = term if out[i + j] is None else out[i + j] + term
+        zero = MatrixCoeff.zero(self.dim)
+        return MatPoly(self.dim, [zero if c is None else c for c in out])
 
     def scale(self, lam) -> "MatPoly":
         return MatPoly(self.dim, tuple(c.scale(lam) for c in self.coeffs))
@@ -216,14 +233,12 @@ class MatPoly:
         """Precompose with k |-> k + s."""
         if s == 0 or self.is_zero():
             return self
-        n = len(self.coeffs)
-        zero = MatrixCoeff.zero(self.dim)
-        out = [zero] * n
+        out = list(self.coeffs)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
-            for t in range(i + 1):
-                out[t] = out[t] + a.scale(Fraction(comb(i, t) * s ** (i - t)))
+            for t in range(i):
+                out[t] = out[t] + a.scale(comb(i, t) * s ** (i - t))
         return MatPoly(self.dim, out)
 
     def trace_poly(self) -> tuple:

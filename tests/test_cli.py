@@ -1,8 +1,13 @@
 import json
+import time
+from math import factorial
 
 import pytest
 
 from pdocycles.cli import main
+from pdocycles.exprparse import MAX_EXPRESSION_DEPTH
+from pdocycles.forms import CHERN_LEVEL_BUDGET
+from pdocycles.lattice import PROFILE_WINDOW_BUDGET
 
 
 def run(capsys, *argv):
@@ -244,3 +249,91 @@ class TestOperandsFile:
                 [["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]]}]}}))
         code, _, err = run(capsys, "omega", "A", "z^1", "--operands", str(path))
         assert code == 2
+
+
+class TestExitPaths:
+    # (argv, exit code, stderr prefix): one case per path out of main()
+    CASES = [
+        (["cocycle", "--k", "1", "z^-1", "z^1"], 0, ""),
+        (["repro", "four-cocycle"], 1, "assertion failed: "),
+        (["cocycle", "--k", "x", "z^1", "z^-1"], 2, "usage: "),
+        (["omega", "z^(", "z"], 2, "parse error: "),
+        (["omega", "z^-1000000000", "z^1"], 2, "refused: "),
+        (["verify", "closedness", "--dim", "0"], 2, "invalid configuration: "),
+    ]
+
+    @pytest.mark.parametrize("argv,code,prefix", CASES,
+                             ids=["ok", "assertion", "argparse", "parse", "refused",
+                                  "configuration"])
+    def test_exit_code_and_message(self, capsys, argv, code, prefix):
+        got, _, err = run(capsys, *argv)
+        assert got == code
+        if prefix:
+            assert err.startswith(prefix)
+            assert "Traceback" not in err
+        else:
+            assert err == ""
+
+
+def timed(capsys, *argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    return code, out, err, time.perf_counter() - start
+
+
+class TestBudgets:
+    def test_profile_window_at_budget_runs(self, capsys):
+        # P_PLUS*z^-n fills a window of n + 1 modes
+        n = PROFILE_WINDOW_BUDGET - 1
+        code, out, _ = run(capsys, "omega", f"P_PLUS*z^-{n}*z^{n}+z^-2", "z^1")
+        assert code == 0
+        assert (code, out) == run(capsys, "omega", "P_PLUS+z^-2", "z^1")[:2]
+        assert "rank: 2" in out
+
+    @pytest.mark.parametrize("n", [PROFILE_WINDOW_BUDGET, 10000000])
+    def test_profile_window_past_budget_refused(self, capsys, n):
+        code, out, err, seconds = timed(capsys, "omega", f"P_PLUS*z^-{n}", "z^1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("refused: a profile window of")
+        assert seconds < 1
+
+    def test_nesting_at_depth_limit_parses(self, capsys):
+        depth = MAX_EXPRESSION_DEPTH
+        code, out, _ = run(capsys, "cocycle", "--k", "1",
+                           "(" * depth + "z^-1" + ")" * depth, "z^1")
+        assert code == 0
+        assert "value: 1" in out
+
+    @pytest.mark.parametrize("depth", [MAX_EXPRESSION_DEPTH + 1, 3000])
+    def test_nesting_past_depth_limit_refused(self, capsys, depth):
+        code, out, err, seconds = timed(capsys, "omega",
+                                        "(" * depth + "z^1" + ")" * depth, "z^-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: expression nested deeper than")
+        assert seconds < 1
+
+    def test_long_flat_sum_evaluates(self, capsys):
+        code, out, _ = run(capsys, "cocycle", "--k", "1",
+                           "z^-1" + "+z^-1" * 1999, "z^1")
+        assert code == 0
+        assert "value: 2000" in out
+
+    def test_cocycle_level_at_budget_runs_verbose(self, capsys):
+        k = CHERN_LEVEL_BUDGET
+        shifts = [f"z^{s * m}" for m in range(1, k + 1) for s in (-1, 1)]
+        code, out, _ = run(capsys, "cocycle", "--k", str(k), *shifts, "--verbose",
+                           "--format", "structured")
+        assert code == 0
+        assert len(json.loads(out)["result"]["permutations"]) == factorial(2 * k)
+
+    def test_cocycle_level_past_budget_refused(self, capsys):
+        k = CHERN_LEVEL_BUDGET + 1
+        shifts = [f"z^{s * m}" for m in range(1, k + 1) for s in (-1, 1)]
+        code, out, err, seconds = timed(capsys, "cocycle", "--k", str(k), *shifts,
+                                        "--verbose")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("refused: level k=5 is above the budget k <= 4")
+        assert seconds < 1

@@ -4,6 +4,7 @@ import pytest
 
 from pdocycles.errors import OperatorParseError
 from pdocycles.exprparse import (
+    MAX_EXPRESSION_DEPTH,
     eval_operator,
     laurent_from_document,
     laurent_to_document,
@@ -107,6 +108,26 @@ class TestOperatorExpressions:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("wrap", [("(", ")"), ("-", ""), ("[z^1, ", "]"),
+                                      ("{{", "}}")])
+    def test_nesting_depth_limit(self, wrap):
+        # every kind of nesting counts one level: parentheses, unary signs,
+        # commutator brackets and matrix literals
+        opening, closing = wrap
+        at_limit = opening * MAX_EXPRESSION_DEPTH + "1" + closing * MAX_EXPRESSION_DEPTH
+        parse_expression(at_limit)
+        past = opening + at_limit + closing
+        with pytest.raises(OperatorParseError) as info:
+            parse_expression(past)
+        assert "nested deeper than" in str(info.value)
+        assert info.value.position == len(opening) * MAX_EXPRESSION_DEPTH
+        # levels are left again: side-by-side groups do not add up
+        parse_expression("+".join([opening + "1" + closing] * (MAX_EXPRESSION_DEPTH + 1)))
+
+    def test_long_flat_chain_evaluates(self):
+        assert eval_operator(parse_expression("+".join(["1/2"] * 3000))) == 1500
+        assert parse_operator("*".join(["z^1"] * 1500)) == parse_operator("z^1500")
+
     def test_unknown_name_position(self):
         with pytest.raises(OperatorParseError) as info:
             parse_operator("z^1 + FOO")

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from pdocycles.errors import NotTraceComputable
+from pdocycles.errors import BudgetExceeded, NotTraceComputable
 from pdocycles.lattice import (
+    PROFILE_WINDOW_BUDGET,
     FiniteRankSupport,
     LatticeOperator,
     basis_vector,
@@ -284,3 +285,20 @@ def test_structural_trace_matches_dense_trace():
     c = commutator(op_z_power(3), op_projection_plus())
     product = compose(c, commutator(op_projection_plus(), op_z_power(-3)))
     assert product.trace() == dense_trace(product.dense_window(8))
+
+
+def test_window_budget_checked_before_filling():
+    # compose(P+, z^-n) multiplies profiles over the n + 1 modes -1 < k < n + 1
+    n = PROFILE_WINDOW_BUDGET - 1
+    product = compose(op_projection_plus(), op_z_power(-n))
+    assert product.entry(n + 1 - n, n + 1) == MatrixCoeff.identity(1)
+    assert product.entry(-n, 0) == MatrixCoeff.zero(1)
+    with pytest.raises(BudgetExceeded):
+        compose(op_projection_plus(), op_z_power(-n - 1))
+    # so is a sum whose operands' bounds (-2, 0) and (m - 1, m + 1) span
+    # m + 2 modes
+    ident = MatrixCoeff.identity(1)
+    near = op_finite(1, {(-1, -1): ident})
+    assert (near + op_finite(1, {(n - 1, n - 1): ident})).trace() == 2
+    with pytest.raises(BudgetExceeded):
+        near + op_finite(1, {(n, n): ident})
