@@ -38,8 +38,7 @@ from .lattice import (
     op_z_power,
 )
 from .forms import (
-    OperatorForm,
-    ScalarCochain,
+    Cochain,
     ce_coboundary,
     chern_cochain,
     chern_cocycle,

@@ -17,8 +17,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
 
 from . import repro
 from .errors import (
@@ -28,24 +26,29 @@ from .errors import (
     ReproAssertionFailed,
 )
 from .exprparse import (
-    operator_from_document,
-    parse_expression,
-    eval_operator,
-    eval_symbol,
-    scalar_to_json,
+    laurent_from_document,
     matrix_to_json,
+    operator_from_document,
+    parse_operator,
+    parse_symbol,
+    scalar_to_json,
     symbol_from_document,
 )
 from .forms import (
     chern_cochain,
     chern_cocycle,
-    chern_permutation_table,
+    chern_expansion,
     curvature,
     hochschild_coboundary,
 )
 from .lattice import exact_rank, op_z_power
 from .scalars import GaussianRational, ZERO
-from .symbols import DEFAULT_DEPTH, radul_cocycle, wodzicki_residue
+from .symbols import (
+    DEFAULT_DEPTH,
+    multiplication_symbol,
+    radul_cocycle,
+    wodzicki_residue,
+)
 
 
 @dataclass
@@ -85,18 +88,20 @@ def _emit(doc: dict, lines: list[str], fmt: str):
             print(line)
 
 
-def _load_operands(path: str | None, dim: int) -> dict:
+def _load_operands(path: str | None, dim: int, read) -> dict:
+    """Named operands from a JSON file of literal documents, each turned
+    into an element by `read` and required to have the run's dim."""
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     out = {}
     for name, doc in raw.items():
-        op = operator_from_document(doc)
-        if op.dim != dim:
+        value = read(doc)
+        if value.dim != dim:
             raise OperatorParseError(
-                f"operand {name!r} has dim {op.dim}, run uses {dim}")
-        out[name] = op
+                f"operand {name!r} has dim {value.dim}, run uses {dim}")
+        out[name] = value
     return out
 
 
@@ -116,27 +121,14 @@ def _support_rank(entries: dict, dim: int) -> int:
     return exact_rank(block)
 
 
-def _alternated_value(k: int, rows) -> GaussianRational:
-    """The level-k cocycle value from its permutation table:
-    1/(2k)! * sum of sign(s) * trace over the rows."""
-    total = ZERO
-    for _, sign, t in rows:
-        if t:
-            total = total + t if sign > 0 else total - t
-    return total * GaussianRational(Fraction(1, factorial(2 * k)))
-
-
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_omega(args) -> int:
     cfg = RunConfig("omega", dim=args.dim, fmt=args.format)
     cfg.validate()
-    operands = _load_operands(args.operands, args.dim)
-    a = eval_operator(parse_expression(args.a), args.dim, operands)
-    b = eval_operator(parse_expression(args.b), args.dim, operands)
-    if isinstance(a, GaussianRational) or isinstance(b, GaussianRational):
-        raise OperatorParseError("omega needs two operator expressions")
-    om = curvature(a, b)
+    operands = _load_operands(args.operands, args.dim, operator_from_document)
+    om = curvature(parse_operator(args.a, args.dim, operands),
+                   parse_operator(args.b, args.dim, operands))
     support = om.finite_rank_support()
     blocks = om.finite_entries()
     rank = _support_rank(blocks, om.dim)
@@ -186,34 +178,27 @@ def cmd_cocycle(args) -> int:
         if args.k != 1:
             raise ValueError("--level symbol supports k=1 only "
                              "(the residue-pairing cocycle is bilinear)")
-        syms = []
-        for text in args.operands_expr:
-            v = eval_symbol(parse_expression(text), args.dim, args.depth)
-            if isinstance(v, GaussianRational):
-                raise OperatorParseError(f"operand {text!r} is a scalar")
-            syms.append(v)
-        value = radul_cocycle(*syms)
+        operands = _load_operands(
+            args.operands, args.dim,
+            lambda doc: multiplication_symbol(laurent_from_document(doc),
+                                              args.depth))
+        value = radul_cocycle(*(parse_symbol(text, args.dim, args.depth, operands)
+                                for text in args.operands_expr))
         doc = {"command": "cocycle", "config": cfg.echo(), "level": "symbol",
                "result": {"value": scalar_to_json(value)}}
         _emit(doc, [f"cocycle k=1 (symbol level) dim={args.dim}",
                     f"value: {value}"], args.format)
         return 0
-    operands = _load_operands(args.operands, args.dim)
-    ops = []
-    for text in args.operands_expr:
-        v = eval_operator(parse_expression(text), args.dim, operands)
-        if isinstance(v, GaussianRational):
-            raise OperatorParseError(f"operand {text!r} is a scalar")
-        ops.append(v)
-    if args.verbose:
-        rows = chern_permutation_table(args.k, *ops)
-        value = _alternated_value(args.k, rows)
-    else:
-        value = chern_cocycle(args.k, *ops)
+    operands = _load_operands(args.operands, args.dim, operator_from_document)
+    expansion = chern_expansion(
+        args.k, *(parse_operator(text, args.dim, operands)
+                  for text in args.operands_expr))
+    value = expansion.value
     doc = {"command": "cocycle", "config": cfg.echo(), "level": "operator",
            "result": {"value": scalar_to_json(value)}}
     lines = [f"cocycle k={args.k} dim={args.dim}", f"value: {value}"]
     if args.verbose:
+        rows = expansion.table()
         doc["result"]["permutations"] = [
             {"permutation": list(s), "sign": sign, "trace": scalar_to_json(t)}
             for s, sign, t in rows
@@ -228,16 +213,10 @@ def cmd_cocycle(args) -> int:
 def cmd_residue(args) -> int:
     cfg = RunConfig("residue", dim=args.dim, depth=args.depth, fmt=args.format)
     cfg.validate()
-    operands = {}
-    if args.operands:
-        with open(args.operands, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        operands = {name: symbol_from_document(doc, args.depth)
-                    for name, doc in raw.items()}
-    sym = eval_symbol(parse_expression(args.expr), args.dim, args.depth, operands)
-    if isinstance(sym, GaussianRational):
-        raise OperatorParseError("residue needs a symbol expression")
-    value = wodzicki_residue(sym)
+    operands = _load_operands(args.operands, args.dim,
+                              lambda doc: symbol_from_document(doc, args.depth))
+    value = wodzicki_residue(parse_symbol(args.expr, args.dim, args.depth,
+                                          operands))
     doc = {"command": "residue", "config": cfg.echo(),
            "result": {"value": scalar_to_json(value)}}
     _emit(doc, [f"residue depth={args.depth} dim={args.dim}",
@@ -250,27 +229,22 @@ def cmd_verify(args) -> int:
                     degree=args.degree, depth=args.depth, k=args.k,
                     fmt=args.format)
     cfg.validate()
+    extra = {}
     if args.kind == "closedness":
-        report = repro.closedness_sweep(args.k, args.samples, args.seed,
-                                        args.degree, args.dim)
-        failures = report.failures
-        checked = len(report.rows)
+        rep = repro.closedness_sweep(args.k, args.samples, args.seed,
+                                     args.degree, args.dim)
         cochain = chern_cochain(args.k, args.dim)
-        extra = {
-            "hochschild_diagnostic": [
-                scalar_to_json(hochschild_coboundary(cochain, *r.args))
-                for r in report.rows],
-        }
+        extra["hochschild_diagnostic"] = [
+            scalar_to_json(hochschild_coboundary(cochain, *tup))
+            for tup in rep.rows]
     elif args.kind == "bianchi":
         rep = repro.bianchi_sweep(args.samples, args.seed, args.degree, args.dim)
-        failures, checked, extra = rep.failures, rep.checked, {}
     elif args.kind == "residue-trace":
         rep = repro.residue_trace_sweep(args.samples, args.seed, args.dim,
                                         args.depth)
-        failures, checked, extra = rep.failures, rep.checked, {}
     else:  # oracle
         rep = repro.oracle_sweep(args.samples, args.seed, args.degree, args.dim)
-        failures, checked, extra = rep.failures, rep.checked, {}
+    failures, checked = rep.failures, rep.checked
 
     ok = not failures
     doc = {"command": "verify", "kind": args.kind, "config": cfg.echo(),

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import OperatorParseError, UnknownBuiltin
+from .errors import OperatorParseError
 from .lattice import (
     LatticeOperator,
     commutator,
@@ -44,7 +44,10 @@ from .symbols import (
     star_product,
 )
 
-OPERATOR_BUILTINS = ("P_PLUS", "P_MINUS", "P_ZERO", "D", "ABS_D")
+OPERATOR_BUILTINS = {
+    "P_PLUS": op_projection_plus, "P_MINUS": op_projection_minus,
+    "P_ZERO": op_projection_zero, "D": op_derivative, "ABS_D": op_abs_derivative,
+}
 SYMBOL_BUILTINS = ("P_PLUS", "P_MINUS", "D", "ABS_D", "DELTA")
 
 # Deepest nesting an expression may have: each open '(', '[' or '{' and
@@ -354,20 +357,23 @@ def _eval_matrix(rows, dim: int, evaluator) -> MatrixCoeff:
     return MatrixCoeff(out)
 
 
-def eval_operator(node, dim: int = 1, operands: dict | None = None) -> "LatticeOperator | GaussianRational":
-    """Evaluate in the lattice-operator algebra.  '*' composes, scalars
-    scale, [x, y] is the commutator."""
+def _evaluate(node, dim: int, operands: dict | None, element, builtin,
+              product, bracket, noun: str, nouns: str):
+    """Evaluate an AST in one algebra, given its pieces: `element(poly)` is
+    the element of a LaurentPoly (z^m and matrix literals), `builtin(name)`
+    a built-in or None, `product` and `bracket` are '*' and [x, y], and
+    `noun`/`nouns` name elements in error messages."""
     env = operands or {}
 
     def combine(kind, a, b):
-        return _combine(kind, a, b, compose, "an operator")
+        return _combine(kind, a, b, product, noun)
 
     def ev(n):
         kind = n[0]
         if kind == "num":
             return n[1]
         if kind == "z":
-            return op_from_laurent(LaurentPoly.z_power(n[1], dim))
+            return element(LaurentPoly.z_power(n[1], dim))
         if kind == "name":
             name = n[1]
             if name in env:
@@ -376,74 +382,47 @@ def eval_operator(node, dim: int = 1, operands: dict | None = None) -> "LatticeO
                     raise OperatorParseError(
                         f"operand {name!r} has dim {value.dim}, run uses {dim}")
                 return value
-            builders = {
-                "P_PLUS": op_projection_plus, "P_MINUS": op_projection_minus,
-                "P_ZERO": op_projection_zero, "D": op_derivative,
-                "ABS_D": op_abs_derivative,
-            }
-            if name in builders:
-                return builders[name](dim)
-            raise OperatorParseError(f"unknown operand {name!r}", n[2])
+            value = builtin(name)
+            if value is None:
+                raise OperatorParseError(f"unknown operand {name!r}", n[2])
+            return value
         if kind == "matrix":
-            block = _eval_matrix(n[1], dim, ev)
-            return op_from_laurent(LaurentPoly(dim, {0: block}))
+            return element(LaurentPoly(dim, {0: _eval_matrix(n[1], dim, ev)}))
         if kind == "neg":
-            v = ev(n[1])
-            return -v
+            return -ev(n[1])
         if kind in _BINARY:
             return _fold(n, ev, combine)
         if kind == "comm":
             a, b = ev(n[1]), ev(n[2])
             if isinstance(a, GaussianRational) or isinstance(b, GaussianRational):
-                raise OperatorParseError("commutator needs two operators")
-            return commutator(a, b)
+                raise OperatorParseError(f"commutator needs two {nouns}")
+            return bracket(a, b)
         raise OperatorParseError(f"unhandled node {kind!r}")
 
     return ev(node)
+
+
+def eval_operator(node, dim: int = 1, operands: dict | None = None) -> "LatticeOperator | GaussianRational":
+    """Evaluate in the lattice-operator algebra.  '*' composes, scalars
+    scale, [x, y] is the commutator."""
+    def builtin(name):
+        return OPERATOR_BUILTINS[name](dim) if name in OPERATOR_BUILTINS else None
+
+    return _evaluate(node, dim, operands, op_from_laurent, builtin, compose,
+                     commutator, "an operator", "operators")
 
 
 def eval_symbol(node, dim: int = 1, depth: int = DEFAULT_DEPTH,
                 operands: dict | None = None) -> "FormalSymbol | GaussianRational":
     """Evaluate in the formal symbol algebra; '*' is the star product."""
-    env = operands or {}
+    def element(poly):
+        return multiplication_symbol(poly, depth)
 
-    def combine(kind, a, b):
-        return _combine(kind, a, b, star_product, "a symbol")
+    def builtin(name):
+        return builtin_symbol(name, dim, depth) if name in SYMBOL_BUILTINS else None
 
-    def ev(n):
-        kind = n[0]
-        if kind == "num":
-            return n[1]
-        if kind == "z":
-            return multiplication_symbol(LaurentPoly.z_power(n[1], dim), depth)
-        if kind == "name":
-            name = n[1]
-            if name in env:
-                value = env[name]
-                if value.dim != dim:
-                    raise OperatorParseError(
-                        f"operand {name!r} has dim {value.dim}, run uses {dim}")
-                return value
-            try:
-                return builtin_symbol(name, dim, depth)
-            except UnknownBuiltin:
-                raise OperatorParseError(f"unknown operand {name!r}", n[2]) from None
-        if kind == "matrix":
-            block = _eval_matrix(n[1], dim, ev)
-            return multiplication_symbol(LaurentPoly(dim, {0: block}), depth)
-        if kind == "neg":
-            v = ev(n[1])
-            return -v
-        if kind in _BINARY:
-            return _fold(n, ev, combine)
-        if kind == "comm":
-            a, b = ev(n[1]), ev(n[2])
-            if isinstance(a, GaussianRational) or isinstance(b, GaussianRational):
-                raise OperatorParseError("commutator needs two symbols")
-            return star_commutator(a, b)
-        raise OperatorParseError(f"unhandled node {kind!r}")
-
-    return ev(node)
+    return _evaluate(node, dim, operands, element, builtin, star_product,
+                     star_commutator, "a symbol", "symbols")
 
 
 def parse_operator(text: str, dim: int = 1,

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, permutations, product
+from functools import reduce
+from itertools import chain, combinations, permutations
+from operator import add
 from math import factorial
 from typing import Callable
 
@@ -131,31 +133,31 @@ def smoothing_part(a: LatticeOperator, b: LatticeOperator) -> LatticeOperator:
             - compose(compose(b, commutator(p, a)), p))
 
 
-# -- operator-valued form calculus -------------------------------------------
+# -- cochains and the operator-valued form calculus -------------------------
 
 @dataclass(frozen=True)
-class OperatorForm:
-    """Alternating multilinear map from operator tuples to operators,
-    represented by its defining rule."""
+class Cochain:
+    """Alternating multilinear map on operator tuples, with operator
+    values (a form) or scalar values, represented by its defining rule."""
 
     arity: int
     rule: Callable
 
-    def __call__(self, *args: LatticeOperator) -> LatticeOperator:
+    def __call__(self, *args: LatticeOperator):
         if len(args) != self.arity:
-            raise ValueError(f"form of arity {self.arity} got {len(args)} arguments")
+            raise ValueError(f"cochain of arity {self.arity} got {len(args)} arguments")
         return self.rule(*args)
 
 
-def theta_form() -> OperatorForm:
-    return OperatorForm(1, theta)
+def theta_form() -> Cochain:
+    return Cochain(1, theta)
 
 
-def curvature_form() -> OperatorForm:
-    return OperatorForm(2, curvature)
+def curvature_form() -> Cochain:
+    return Cochain(2, curvature)
 
 
-def form_wedge(alpha: OperatorForm, beta: OperatorForm) -> OperatorForm:
+def form_wedge(alpha: Cochain, beta: Cochain) -> Cochain:
     """(alpha ^ beta)(a_1..a_{p+q}) =
     1/(p! q!) sum over permutations s of sign(s) *
     alpha(first p of s) o beta(last q of s)."""
@@ -173,10 +175,10 @@ def form_wedge(alpha: OperatorForm, beta: OperatorForm) -> OperatorForm:
             total = total + term
         return total.scale(norm)
 
-    return OperatorForm(p + q, rule)
+    return Cochain(p + q, rule)
 
 
-def form_bracket(alpha: OperatorForm, beta: OperatorForm) -> OperatorForm:
+def form_bracket(alpha: Cochain, beta: Cochain) -> Cochain:
     """[alpha, beta] = alpha ^ beta - (-1)^{pq} beta ^ alpha."""
     p, q = alpha.arity, beta.arity
     ab = form_wedge(alpha, beta)
@@ -189,42 +191,28 @@ def form_bracket(alpha: OperatorForm, beta: OperatorForm) -> OperatorForm:
             return ab(*args) - second
         return ab(*args) + second
 
-    return OperatorForm(p + q, rule)
+    return Cochain(p + q, rule)
 
 
-def form_differential(alpha: OperatorForm) -> OperatorForm:
+def ce_coboundary(c: Cochain, *args: LatticeOperator):
+    """Chevalley-Eilenberg coboundary of a p-cochain (p >= 1), evaluated on
+    p+1 operators: sum_{i<j} (-1)^{i+j} c([a_i, a_j], ...omit i, j...)."""
+    if len(args) != c.arity + 1:
+        raise ValueError(f"expected {c.arity + 1} arguments, got {len(args)}")
+    n = len(args)
+    terms = []
+    for i, j in combinations(range(n), 2):
+        rest = [args[t] for t in range(n) if t not in (i, j)]
+        value = c(commutator(args[i], args[j]), *rest)
+        terms.append(-value if (i + j) % 2 else value)
+    return reduce(add, terms)
+
+
+def form_differential(alpha: Cochain) -> Cochain:
     """Chevalley-Eilenberg differential:
     (d alpha)(a_0..a_p) = sum_{i<j} (-1)^{i+j} alpha([a_i, a_j], rest)."""
-    p = alpha.arity
-
-    def rule(*args):
-        total = LatticeOperator.zero(args[0].dim)
-        for i, j in combinations(range(p + 1), 2):
-            rest = [args[t] for t in range(p + 1) if t not in (i, j)]
-            term = alpha(commutator(args[i], args[j]), *rest)
-            if (i + j) % 2:
-                term = -term
-            total = total + term
-        return total
-
-    return OperatorForm(p + 1, rule)
-
-
-# -- scalar cochains ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScalarCochain:
-    """Multilinear functional on operator tuples; skew means alternating."""
-
-    arity: int
-    rule: Callable
-    skew: bool = True
-    label: str = ""
-
-    def __call__(self, *args: LatticeOperator) -> GaussianRational:
-        if len(args) != self.arity:
-            raise ValueError(f"cochain of arity {self.arity} got {len(args)} arguments")
-        return self.rule(*args)
+    return Cochain(alpha.arity + 1,
+                   lambda *args: ce_coboundary(alpha, *args))
 
 
 # The trace cocycle sums sign(s) tr(omega(s1, s2) ... omega(s(2k-1), s(2k)))
@@ -368,34 +356,11 @@ def chern_cocycle(k: int, *args: LatticeOperator) -> GaussianRational:
     return chern_expansion(k, *args).value
 
 
-def chern_cochain(k: int, dim: int = 1) -> ScalarCochain:
-    return ScalarCochain(2 * k, lambda *args: chern_cocycle(k, *args),
-                         skew=True, label=f"tr(curvature^{k})")
+def chern_cochain(k: int, dim: int = 1) -> Cochain:
+    return Cochain(2 * k, lambda *args: chern_cocycle(k, *args))
 
 
-def chern_permutation_table(k: int, *args: LatticeOperator):
-    """Per-permutation breakdown of chern_cocycle: list of
-    (permutation, sign, trace of the curvature product)."""
-    return chern_expansion(k, *args).table()
-
-
-def ce_coboundary(c: ScalarCochain, *args: LatticeOperator) -> GaussianRational:
-    """Chevalley-Eilenberg coboundary of a p-cochain, evaluated on p+1
-    operators: sum_{i<j} (-1)^{i+j} c([a_i, a_j], ...omit i, j...)."""
-    if len(args) != c.arity + 1:
-        raise ValueError(f"expected {c.arity + 1} arguments, got {len(args)}")
-    total = ZERO
-    n = len(args)
-    for i, j in combinations(range(n), 2):
-        rest = [args[t] for t in range(n) if t not in (i, j)]
-        value = c(commutator(args[i], args[j]), *rest)
-        if (i + j) % 2:
-            value = -value
-        total = total + value
-    return total
-
-
-def hochschild_coboundary(c: ScalarCochain, *args: LatticeOperator) -> GaussianRational:
+def hochschild_coboundary(c: Cochain, *args: LatticeOperator) -> GaussianRational:
     """Hochschild coboundary for multilinear functionals:
 
     (b c)(a_0..a_p) = sum_{i<p} (-1)^i c(.., a_i a_{i+1}, ..)
@@ -437,11 +402,11 @@ def schwinger_cocycle(a: LatticeOperator, b: LatticeOperator) -> GaussianRationa
         raise BlockNotTraceComputable(str(exc)) from exc
 
 
-def schwinger_cochain(dim: int = 1) -> ScalarCochain:
-    return ScalarCochain(2, schwinger_cocycle, skew=True, label="schwinger")
+def schwinger_cochain(dim: int = 1) -> Cochain:
+    return Cochain(2, schwinger_cocycle)
 
 
-def nonvanishing_witness(c: ScalarCochain, family) -> tuple | None:
+def nonvanishing_witness(c: Cochain, family) -> tuple | None:
     """First tuple from a pairwise-commuting family on which c is nonzero.
 
     A hit certifies that c is not a coboundary on any Lie algebra
@@ -452,9 +417,7 @@ def nonvanishing_witness(c: ScalarCochain, family) -> tuple | None:
     for x, y in combinations(family, 2):
         if not commutator(x, y).is_zero():
             raise NotCommuting("family contains a non-commuting pair")
-    tuples = (combinations(family, c.arity) if c.skew
-              else product(family, repeat=c.arity))
-    for candidate in tuples:
+    for candidate in combinations(family, c.arity):
         if c(*candidate):
             return tuple(candidate)
     return None

@@ -317,28 +317,12 @@ def random_symbol(rng: random.Random, dim: int = 1, order_min: int = -2,
 
 @dataclass
 class SweepReport:
-    kind: str
-    config: dict
+    """Outcome of a sweep: how many samples it checked, one message per
+    failure, and the sampled tuples when a caller re-evaluates them."""
+
     checked: int
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-@dataclass
-class ClosednessRow:
-    ce_value: GaussianRational
-    args: list[LatticeOperator]
-
-
-@dataclass
-class ClosednessReport:
-    k: int
-    config: dict
-    rows: list[ClosednessRow]
     failures: list[str]
+    rows: list[list[LatticeOperator]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -346,11 +330,12 @@ class ClosednessReport:
 
 
 def closedness_sweep(k: int, samples: int, seed: int, degree_bound: int = 3,
-                     dim: int = 1, include_abs: bool = False) -> ClosednessReport:
+                     dim: int = 1, include_abs: bool = False) -> SweepReport:
     """Evaluate the Chevalley-Eilenberg coboundary of the 2k-cocycle on
     random tuples from the generator span; every value must be exactly
-    zero.  Each row keeps its sampled tuple, so a caller can evaluate
-    other cochains (the CLI's Hochschild diagnostic) on the same inputs."""
+    zero.  The report keeps each sampled tuple as a row, so a caller can
+    evaluate other cochains (the CLI's Hochschild diagnostic) on the same
+    inputs."""
     rng = random.Random(seed)
     pool = span_generators(dim, degree_bound, include_abs)
     cochain = chern_cochain(k, dim)
@@ -359,14 +344,11 @@ def closedness_sweep(k: int, samples: int, seed: int, degree_bound: int = 3,
     for idx in range(samples):
         args = [random_span_element(rng, pool) for _ in range(2 * k + 1)]
         ce = ce_coboundary(cochain, *args)
-        rows.append(ClosednessRow(ce, args))
+        rows.append(args)
         if ce:
             failures.append(f"sample {idx} (seed {seed}): ce coboundary = {ce} "
                             f"on {args!r}")
-    config = {"k": k, "samples": samples, "seed": seed,
-              "degree_bound": degree_bound, "dim": dim,
-              "include_abs": include_abs}
-    return ClosednessReport(k, config, rows, failures)
+    return SweepReport(samples, failures, rows)
 
 
 def bianchi_sweep(samples: int, seed: int, degree_bound: int = 3,
@@ -390,9 +372,7 @@ def bianchi_sweep(samples: int, seed: int, degree_bound: int = 3,
         if not (bianchi(a, b, c) + bracket(a, b, c)).is_zero():
             failures.append(f"sample {idx} (seed {seed}): bianchi identity "
                             f"failed on {(a, b, c)!r}")
-    return SweepReport("bianchi", {"samples": samples, "seed": seed,
-                                   "degree_bound": degree_bound, "dim": dim},
-                       samples, failures)
+    return SweepReport(samples, failures)
 
 
 def residue_trace_sweep(samples: int, seed: int, dim: int = 1,
@@ -408,9 +388,7 @@ def residue_trace_sweep(samples: int, seed: int, dim: int = 1,
         if r:
             failures.append(f"sample {idx} (seed {seed}): residue of "
                             f"commutator = {r} on {(a, b)!r}")
-    return SweepReport("residue-trace", {"samples": samples, "seed": seed,
-                                         "dim": dim, "depth": depth},
-                       samples, failures)
+    return SweepReport(samples, failures)
 
 
 def trace_commutator_sweep(samples: int, seed: int, degree_bound: int = 3,
@@ -427,9 +405,7 @@ def trace_commutator_sweep(samples: int, seed: int, degree_bound: int = 3,
         if t:
             failures.append(f"sample {idx} (seed {seed}): trace of "
                             f"commutator = {t} on {(f, b)!r}")
-    return SweepReport("trace-commutator", {"samples": samples, "seed": seed,
-                                            "degree_bound": degree_bound,
-                                            "dim": dim}, samples, failures)
+    return SweepReport(samples, failures)
 
 
 def oracle_sweep(samples: int, seed: int, degree_bound: int = 3,
@@ -460,9 +436,7 @@ def oracle_sweep(samples: int, seed: int, degree_bound: int = 3,
         if bad:
             failures.append(f"sample {idx} (seed {seed}): window mismatch "
                             f"on {(a, b)!r}")
-    return SweepReport("oracle", {"samples": samples, "seed": seed,
-                                  "degree_bound": degree_bound, "dim": dim},
-                       samples, failures)
+    return SweepReport(samples, failures)
 
 
 # -- three-way case-table check ---------------------------------------------------
@@ -506,4 +480,4 @@ def case_table_sweep(bound: int = 6) -> SweepReport:
                 if not (structural_ok and dense_ok):
                     failures.append(f"(m,n,k)=({m},{n},{k}): "
                                     f"structural={structural_ok} dense={dense_ok}")
-    return SweepReport("case-table", {"bound": bound}, checked, failures)
+    return SweepReport(checked, failures)

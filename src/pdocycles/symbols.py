@@ -15,6 +15,7 @@ because their symbol is frequency-independent in x.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .errors import DepthInsufficient, DimensionMismatch, UnknownBuiltin
 from .laurent import LaurentPoly
@@ -166,9 +167,7 @@ class FormalSymbol:
         low = max(self.lowest_degree, other.lowest_degree)
         parts = []
         for degree in range(order, low - 1, -1):
-            a = self.part(degree) if degree <= self.order else PartialSymbol.zero(degree, self.dim)
-            b = other.part(degree) if degree <= other.order else PartialSymbol.zero(degree, self.dim)
-            parts.append(a + b)
+            parts.append(self.part(degree) + other.part(degree))
         return FormalSymbol(self.dim, order, parts)
 
     def scale(self, lam) -> "FormalSymbol":
@@ -233,22 +232,18 @@ def builtin_symbol(name: str, dim: int = 1, depth: int = DEFAULT_DEPTH) -> Forma
 
 # -- the product --------------------------------------------------------------
 
-def star_product(a: FormalSymbol, b: FormalSymbol,
-                 depth: int | None = None) -> FormalSymbol:
+def star_product(a: FormalSymbol, b: FormalSymbol) -> FormalSymbol:
     """Composition of symbols:
 
     (a * b)_l = sum over alpha >= 0 and j + k - alpha = l of
     ((-i)^alpha / alpha!) (d_xi^alpha a_j) (d_x^alpha b_k)
 
-    The result's reliable depth is the smaller operand depth (or the
-    explicit depth argument when given); deeper slots would need parts
-    hidden by the operands' truncation.
+    The result's reliable depth is the smaller operand depth; deeper
+    slots would need parts hidden by the operands' truncation.
     """
     if a.dim != b.dim:
         raise DimensionMismatch("symbol dims differ")
     result_depth = min(a.depth, b.depth)
-    if depth is not None:
-        result_depth = min(result_depth, depth)
     order = a.order + b.order
     lowest = order - result_depth + 1
 
@@ -285,7 +280,7 @@ def star_product(a: FormalSymbol, b: FormalSymbol,
                 if da.is_zero() or db.is_zero():
                     continue
                 coeff = _MINUS_I_POW[alpha % 4] * GaussianRational(
-                    Fraction(1, _factorial(alpha)))
+                    Fraction(1, factorial(alpha)))
                 term = PartialSymbol(l,
                                      (da.plus * db.plus).scale(coeff),
                                      (da.minus * db.minus).scale(coeff))
@@ -294,16 +289,8 @@ def star_product(a: FormalSymbol, b: FormalSymbol,
     return FormalSymbol(a.dim, order, out)
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for t in range(2, n + 1):
-        out *= t
-    return out
-
-
-def star_commutator(a: FormalSymbol, b: FormalSymbol,
-                    depth: int | None = None) -> FormalSymbol:
-    return star_product(a, b, depth) - star_product(b, a, depth)
+def star_commutator(a: FormalSymbol, b: FormalSymbol) -> FormalSymbol:
+    return star_product(a, b) - star_product(b, a)
 
 
 # -- ray splitting -------------------------------------------------------------
@@ -338,7 +325,7 @@ def wodzicki_residue(a: FormalSymbol) -> GaussianRational:
     return p.plus.coefficient(0).trace() + p.minus.coefficient(0).trace()
 
 
-def log_laplacian_bracket(a: FormalSymbol, depth: int | None = None) -> FormalSymbol:
+def log_laplacian_bracket(a: FormalSymbol) -> FormalSymbol:
     """[a, log Delta] as a classical symbol of order ord(a) - 1.
 
     log Delta has the x-independent symbol 2 log|xi|, so the bracket's
@@ -348,9 +335,8 @@ def log_laplacian_bracket(a: FormalSymbol, depth: int | None = None) -> FormalSy
     2 (-1)^alpha m^alpha / alpha on the plus ray and 2 m^alpha / alpha on
     the minus ray.
     """
-    result_depth = a.depth if depth is None else min(a.depth, depth)
     order = a.order - 1
-    lowest = order - result_depth + 1
+    lowest = order - a.depth + 1
     out = []
     for l in range(order, lowest - 1, -1):
         acc = PartialSymbol.zero(l, a.dim)

@@ -250,6 +250,55 @@ class TestOperandsFile:
         code, _, err = run(capsys, "omega", "A", "z^1", "--operands", str(path))
         assert code == 2
 
+    def test_cocycle_levels_read_the_same_literal(self, capsys, tmp_path):
+        # A is the multiplication operator z^-2; both levels give 2.
+        path = tmp_path / "ops.json"
+        path.write_text(json.dumps({
+            "A": {"dim": 1, "terms": [{"m": -2, "matrix": [[["1", "0"]]]}]}}))
+        for level in ("operator", "symbol"):
+            code, out, err = run(capsys, "cocycle", "--k", "1", "--level", level,
+                                 "A", "z^2", "--operands", str(path))
+            assert (code, err) == (0, "")
+            assert out.splitlines()[-1] == "value: 2"
+
+    def test_symbol_literal_residue(self, capsys, tmp_path):
+        path = tmp_path / "syms.json"
+        path.write_text(json.dumps({"S": {"dim": 1, "parts": [
+            {"degree": -1, "plus": [{"m": 0, "matrix": [[["1", "0"]]]}],
+             "minus": [{"m": 0, "matrix": [[["1/2", "0"]]]}]}]}}))
+        code, out, _ = run(capsys, "residue", "S + 2*S", "--operands", str(path))
+        assert code == 0
+        assert out.splitlines()[-1] == "value: 9/2"
+
+    # A literal of dim 2 in a dim-1 run, used by no expression.
+    OPERATOR_DIM_2 = {"dim": 2, "terms": [{"m": 0, "matrix": [
+        [["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]]}]}
+    SYMBOL_DIM_2 = {"dim": 2, "parts": [{"degree": 0, "plus": [], "minus": []}]}
+
+    @pytest.mark.parametrize("argv, literal", [
+        (["cocycle", "--k", "1", "z^-1", "z^1"], OPERATOR_DIM_2),
+        (["cocycle", "--k", "1", "--level", "symbol", "z^-1", "z^1"],
+         OPERATOR_DIM_2),
+        (["residue", "z^1"], SYMBOL_DIM_2),
+    ])
+    def test_operand_of_wrong_dim_rejected(self, capsys, tmp_path, argv, literal):
+        path = tmp_path / "ops.json"
+        path.write_text(json.dumps({"B": literal}))
+        code, out, err = run(capsys, *argv, "--operands", str(path))
+        assert (code, out) == (2, "")
+        assert err == "parse error: operand 'B' has dim 2, run uses 1\n"
+
+    @pytest.mark.parametrize("argv, noun", [
+        (["omega", "1/2", "z"], "an operator"),
+        (["cocycle", "--k", "1", "1/2", "z^1"], "an operator"),
+        (["cocycle", "--k", "1", "--level", "symbol", "1/2", "z^1"], "a symbol"),
+        (["residue", "1/2"], "a symbol"),
+    ])
+    def test_scalar_operand_gives_one_message(self, capsys, argv, noun):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: expression '1/2' is a scalar, not {noun}\n"
+
 
 class TestExitPaths:
     # (argv, exit code, stderr prefix): one case per path out of main()

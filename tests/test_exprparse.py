@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdocycles.errors import OperatorParseError
 from pdocycles.exprparse import (
@@ -224,3 +225,53 @@ class TestDocuments:
         with pytest.raises(OperatorParseError):
             laurent_from_document({"dim": 2, "terms": [
                 {"m": 0, "matrix": [[["1", "0"]]]}]})
+
+
+# -- one expression, two algebras ----------------------------------------------
+
+_SCALARS = st.sampled_from(["2", "-1", "1/2", "i", "3/4*i", "(1+i)"])
+
+
+def _multiplication_expressions(dim: int):
+    """Expressions that denote multiplication operators: z^m, matrix
+    literals, scalar multiples, sums, differences, products, commutators."""
+    entry = st.one_of(st.just("0"), st.just("1"), _SCALARS)
+    matrix = st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                      min_size=dim, max_size=dim).map(
+        lambda rows: "{" + ",".join("{" + ",".join(r) + "}" for r in rows) + "}")
+    leaf = st.one_of(st.integers(-3, 3).map(lambda m: f"z^{m}"), matrix)
+
+    def extend(inner):
+        pair = st.tuples(inner, inner)
+        return st.one_of(
+            pair.map(lambda p: f"({p[0]})+({p[1]})"),
+            pair.map(lambda p: f"({p[0]})-({p[1]})"),
+            pair.map(lambda p: f"({p[0]})*({p[1]})"),
+            pair.map(lambda p: f"[{p[0]}, {p[1]}]"),
+            st.tuples(_SCALARS, inner).map(lambda p: f"{p[0]}*({p[1]})"),
+            inner.map(lambda e: f"-({e})"),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=6)
+
+
+def _laurent_of_multiplication_operator(op: LatticeOperator) -> LaurentPoly:
+    """The Fourier coefficients of a multiplication operator, read off its
+    diagonals, each of which must be one constant matrix at every mode."""
+    coeffs = {}
+    for j, prof in op.diagonals.items():
+        assert prof.left == prof.right and not prof.window
+        assert prof.left.degree() == 0
+        coeffs[j] = prof.entry(0)
+    return LaurentPoly(op.dim, coeffs)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_symbol_of_expression_is_symbol_of_its_operator(dim):
+    @settings(max_examples=25, deadline=None)
+    @given(_multiplication_expressions(dim))
+    def check(text):
+        poly = _laurent_of_multiplication_operator(parse_operator(text, dim))
+        assert parse_symbol(text, dim) == multiplication_symbol(poly)
+
+    check()

@@ -9,12 +9,11 @@ from hypothesis import given, settings, strategies as st
 from pdocycles.errors import BudgetExceeded, NotCommuting
 from pdocycles.forms import (
     CURVATURE_MODE_BUDGET,
-    ScalarCochain,
+    Cochain,
     ce_coboundary,
     chern_cochain,
     chern_cocycle,
     chern_expansion,
-    chern_permutation_table,
     curvature,
     curvature_form,
     curvature_modes,
@@ -338,7 +337,7 @@ class TestChernCocycle:
     def test_permutation_table_sums_to_cocycle(self):
         rng = random.Random(11)
         args = [rand_laurent_op(rng) for _ in range(4)]
-        rows = chern_permutation_table(2, *args)
+        rows = chern_expansion(2, *args).table()
         assert len(rows) == 24
         total = sum((t if s > 0 else -t for _, s, t in rows), ZERO)
         assert total * GaussianRational(Fraction(1, 24)) == chern_cocycle(2, *args)
@@ -373,7 +372,7 @@ class TestClassReduction:
         for _ in range(12):
             args = [random_span_element(rng, pool) for _ in range(4)]
             rows = full_permutation_table(2, args)
-            assert chern_permutation_table(2, *args) == rows
+            assert chern_expansion(2, *args).table() == rows
             value = chern_cocycle(2, *args)
             assert value == alternated_value(2, rows)
             nonzero += bool(value)
@@ -385,7 +384,7 @@ class TestClassReduction:
         for _ in range(4):
             args = [random_span_element(rng, pool) for _ in range(4)]
             rows = full_permutation_table(2, args)
-            assert chern_permutation_table(2, *args) == rows
+            assert chern_expansion(2, *args).table() == rows
             assert chern_cocycle(2, *args) == alternated_value(2, rows)
 
     @pytest.mark.parametrize("pairs", [(1, 2, 3), (2, 2, 1), (3, -1, 2)])
@@ -397,7 +396,7 @@ class TestClassReduction:
         args = [op_z_power(m) for m in ms]
         rows = full_permutation_table(3, args)
         assert any(t for _, _, t in rows)
-        assert chern_permutation_table(3, *args) == rows
+        assert chern_expansion(3, *args).table() == rows
         assert chern_cocycle(3, *args) == alternated_value(3, rows)
 
     def test_class_counts(self):
@@ -411,8 +410,8 @@ class TestCoboundaries:
         rng = random.Random(12)
         # d^2 = 0 on a generic (non-closed) 1-cochain
         pick = op_z_power(1)
-        c1 = ScalarCochain(1, lambda a: commutator(a, pick).trace())
-        dc = ScalarCochain(2, lambda *args: ce_coboundary(c1, *args))
+        c1 = Cochain(1, lambda a: commutator(a, pick).trace())
+        dc = Cochain(2, lambda *args: ce_coboundary(c1, *args))
         for _ in range(10):
             a, b, c = (rand_laurent_op(rng) for _ in range(3))
             assert ce_coboundary(dc, a, b, c) == ZERO
@@ -494,7 +493,7 @@ class TestWitness:
         assert nonvanishing_witness(c, self.family()) is None
 
     def test_zero_cochain_has_no_witness(self):
-        zero = ScalarCochain(2, lambda *args: ZERO)
+        zero = Cochain(2, lambda *args: ZERO)
         assert nonvanishing_witness(zero, self.family(2)) is None
 
     def test_non_commuting_family_rejected(self):

@@ -1,11 +1,11 @@
 import random
 from itertools import product
 
-from pdocycles.forms import chern_cocycle, curvature
+from pdocycles.forms import ce_coboundary, chern_cochain, chern_cocycle, curvature
 from pdocycles.lattice import basis_vector, compose, op_z_power
 from pdocycles.repro import (
     CaseVerdict,
-    ClosednessReport,
+    SweepReport,
     case_table_sweep,
     closedness_sweep,
     count_signs,
@@ -168,10 +168,11 @@ class TestComparisons:
 class TestSweeps:
     def test_closedness_level_one(self):
         rep = closedness_sweep(1, samples=15, seed=7, degree_bound=3, dim=1)
-        assert isinstance(rep, ClosednessReport)
+        assert isinstance(rep, SweepReport)
         assert rep.ok
         assert len(rep.rows) == 15
-        assert all(r.ce_value == ZERO for r in rep.rows)
+        cochain = chern_cochain(1)
+        assert all(ce_coboundary(cochain, *args) == ZERO for args in rep.rows)
 
     def test_closedness_level_one_matrix_fiber(self):
         rep = closedness_sweep(1, samples=8, seed=8, degree_bound=3, dim=2)
