@@ -44,16 +44,10 @@ from .forms import (
     chern_cocycle,
     chern_expansion,
     curvature,
-    curvature_form,
-    form_bracket,
-    form_differential,
-    form_wedge,
     hochschild_coboundary,
     nonvanishing_witness,
     schwinger_cocycle,
-    smoothing_part,
     theta,
-    theta_form,
 )
 from .symbols import (
     FormalSymbol,

@@ -31,7 +31,6 @@ from .exprparse import (
     operator_from_document,
     parse_operator,
     parse_symbol,
-    scalar_to_json,
     symbol_from_document,
 )
 from .forms import (
@@ -95,9 +94,17 @@ def _load_operands(path: str | None, dim: int, read) -> dict:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path} is not a JSON object of named literals")
     out = {}
     for name, doc in raw.items():
-        value = read(doc)
+        if not isinstance(doc, dict):
+            raise ValueError(f"operand {name!r} is not a literal document")
+        try:
+            value = read(doc)
+        except (KeyError, TypeError, ArithmeticError) as exc:
+            raise ValueError(f"operand {name!r} is malformed "
+                             f"({type(exc).__name__}: {exc})") from exc
         if value.dim != dim:
             raise OperatorParseError(
                 f"operand {name!r} has dim {value.dim}, run uses {dim}")
@@ -178,6 +185,9 @@ def cmd_cocycle(args) -> int:
         if args.k != 1:
             raise ValueError("--level symbol supports k=1 only "
                              "(the residue-pairing cocycle is bilinear)")
+        if args.verbose:
+            raise ValueError("--verbose prints the permutation table of the "
+                             "operator level; --level symbol has none")
         operands = _load_operands(
             args.operands, args.dim,
             lambda doc: multiplication_symbol(laurent_from_document(doc),
@@ -185,7 +195,7 @@ def cmd_cocycle(args) -> int:
         value = radul_cocycle(*(parse_symbol(text, args.dim, args.depth, operands)
                                 for text in args.operands_expr))
         doc = {"command": "cocycle", "config": cfg.echo(), "level": "symbol",
-               "result": {"value": scalar_to_json(value)}}
+               "result": {"value": value.to_pair()}}
         _emit(doc, [f"cocycle k=1 (symbol level) dim={args.dim}",
                     f"value: {value}"], args.format)
         return 0
@@ -195,12 +205,12 @@ def cmd_cocycle(args) -> int:
                   for text in args.operands_expr))
     value = expansion.value
     doc = {"command": "cocycle", "config": cfg.echo(), "level": "operator",
-           "result": {"value": scalar_to_json(value)}}
+           "result": {"value": value.to_pair()}}
     lines = [f"cocycle k={args.k} dim={args.dim}", f"value: {value}"]
     if args.verbose:
         rows = expansion.table()
         doc["result"]["permutations"] = [
-            {"permutation": list(s), "sign": sign, "trace": scalar_to_json(t)}
+            {"permutation": list(s), "sign": sign, "trace": t.to_pair()}
             for s, sign, t in rows
         ]
         lines.append("permutation table:")
@@ -218,7 +228,7 @@ def cmd_residue(args) -> int:
     value = wodzicki_residue(parse_symbol(args.expr, args.dim, args.depth,
                                           operands))
     doc = {"command": "residue", "config": cfg.echo(),
-           "result": {"value": scalar_to_json(value)}}
+           "result": {"value": value.to_pair()}}
     _emit(doc, [f"residue depth={args.depth} dim={args.dim}",
                 f"value: {value}"], args.format)
     return 0
@@ -235,7 +245,7 @@ def cmd_verify(args) -> int:
                                      args.degree, args.dim)
         cochain = chern_cochain(args.k, args.dim)
         extra["hochschild_diagnostic"] = [
-            scalar_to_json(hochschild_coboundary(cochain, *tup))
+            hochschild_coboundary(cochain, *tup).to_pair()
             for tup in rep.rows]
     elif args.kind == "bianchi":
         rep = repro.bianchi_sweep(args.samples, args.seed, args.degree, args.dim)
@@ -297,13 +307,13 @@ def cmd_repro(args) -> int:
 
     if args.target == "schwinger":
         rep = repro.schwinger_comparison(range(1, 6), args.dim)
-        rows_doc = [{"m": r.m, "chern": scalar_to_json(r.chern),
-                     "schwinger": scalar_to_json(r.schwinger),
-                     "radul": scalar_to_json(r.radul)} for r in rep.rows]
+        rows_doc = [{"m": r.m, "chern": r.chern.to_pair(),
+                     "schwinger": r.schwinger.to_pair(),
+                     "radul": r.radul.to_pair()} for r in rep.rows]
         doc = {"command": "repro", "target": "schwinger", "config": cfg.echo(),
                "rows": rows_doc,
-               "chern_over_schwinger": scalar_to_json(rep.chern_over_schwinger),
-               "radul_over_chern": scalar_to_json(rep.radul_over_chern),
+               "chern_over_schwinger": rep.chern_over_schwinger.to_pair(),
+               "radul_over_chern": rep.radul_over_chern.to_pair(),
                "ok": rep.constants_m_independent}
         lines = ["repro schwinger comparison (m = 1..5):",
                  "  m | chern | schwinger | radul"]
@@ -326,11 +336,11 @@ def cmd_repro(args) -> int:
     rows_doc = [{"permutation": list(r.permutation),
                  "exponents": list(r.exponents), "sign": r.sign,
                  "n1": r.n1, "n_minus1": r.n_minus1,
-                 "contribution": scalar_to_json(r.contribution)}
+                 "contribution": r.contribution.to_pair()}
                 for r in table.rows]
     doc = {"command": "repro", "target": "four-cocycle", "config": cfg.echo(),
            "exponents": [-2, 2, -3, 3], "rows": rows_doc,
-           "total": scalar_to_json(table.total),
+           "total": table.total.to_pair(),
            "total_matches_operator_route": internal,
            "assertions": [{"name": name, "ok": ok, "detail": detail}
                           for name, ok, detail in checks]}

@@ -59,22 +59,14 @@ MAX_EXPRESSION_DEPTH = 100
 
 # -- documents ----------------------------------------------------------------
 
-def scalar_from_json(value) -> GaussianRational:
-    return GaussianRational.from_pair(value)
-
-
-def scalar_to_json(value: GaussianRational) -> list[str]:
-    return value.to_pair()
-
-
 def matrix_from_json(rows, dim: int) -> MatrixCoeff:
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise OperatorParseError(f"matrix must be {dim}x{dim}")
-    return MatrixCoeff([[scalar_from_json(e) for e in row] for row in rows])
+    return MatrixCoeff([[GaussianRational.from_pair(e) for e in row] for row in rows])
 
 
 def matrix_to_json(m: MatrixCoeff) -> list:
-    return [[scalar_to_json(e) for e in row] for row in m.rows]
+    return [[e.to_pair() for e in row] for row in m.rows]
 
 
 def laurent_from_document(doc: dict) -> LaurentPoly:

@@ -2,10 +2,11 @@
 
 The connection form sends a to a o p_plus; its curvature takes values in
 finite-rank operators, so tracing wedge powers of it yields exact
-alternating multilinear functionals.  This module provides the form
-calculus (wedge, bracket, Chevalley-Eilenberg differential), the trace
-cocycles, both coboundary operators, the Schwinger block cocycle and the
-non-exactness witness search.
+alternating multilinear functionals.  This module provides the
+connection and its curvature, the trace cocycles, both coboundary
+operators, the Schwinger block cocycle and the non-exactness witness
+search.  The form calculus and the other independent routes to the
+curvature are oracles in `repro`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations, permutations
-from operator import add
+from itertools import chain, combinations, product
+from operator import add, itemgetter
 from math import factorial
 from typing import Callable
 
@@ -126,14 +127,7 @@ def curvature(a: LatticeOperator, b: LatticeOperator) -> LatticeOperator:
     return op_finite(a.dim, entries)
 
 
-def smoothing_part(a: LatticeOperator, b: LatticeOperator) -> LatticeOperator:
-    """a [p+, b] p+ - b [p+, a] p+; structurally equal to curvature(a, b)."""
-    p = op_projection_plus(a.dim)
-    return (compose(compose(a, commutator(p, b)), p)
-            - compose(compose(b, commutator(p, a)), p))
-
-
-# -- cochains and the operator-valued form calculus -------------------------
+# -- cochains and their coboundaries -----------------------------------------
 
 @dataclass(frozen=True)
 class Cochain:
@@ -149,51 +143,6 @@ class Cochain:
         return self.rule(*args)
 
 
-def theta_form() -> Cochain:
-    return Cochain(1, theta)
-
-
-def curvature_form() -> Cochain:
-    return Cochain(2, curvature)
-
-
-def form_wedge(alpha: Cochain, beta: Cochain) -> Cochain:
-    """(alpha ^ beta)(a_1..a_{p+q}) =
-    1/(p! q!) sum over permutations s of sign(s) *
-    alpha(first p of s) o beta(last q of s)."""
-    p, q = alpha.arity, beta.arity
-    norm = GaussianRational(Fraction(1, factorial(p) * factorial(q)))
-
-    def rule(*args):
-        total = LatticeOperator.zero(args[0].dim)
-        for s in permutations(range(p + q)):
-            first = alpha(*(args[i] for i in s[:p]))
-            second = beta(*(args[i] for i in s[p:]))
-            term = compose(first, second)
-            if perm_sign(s) < 0:
-                term = -term
-            total = total + term
-        return total.scale(norm)
-
-    return Cochain(p + q, rule)
-
-
-def form_bracket(alpha: Cochain, beta: Cochain) -> Cochain:
-    """[alpha, beta] = alpha ^ beta - (-1)^{pq} beta ^ alpha."""
-    p, q = alpha.arity, beta.arity
-    ab = form_wedge(alpha, beta)
-    ba = form_wedge(beta, alpha)
-    flip = (-1) ** (p * q)
-
-    def rule(*args):
-        second = ba(*args)
-        if flip > 0:
-            return ab(*args) - second
-        return ab(*args) + second
-
-    return Cochain(p + q, rule)
-
-
 def ce_coboundary(c: Cochain, *args: LatticeOperator):
     """Chevalley-Eilenberg coboundary of a p-cochain (p >= 1), evaluated on
     p+1 operators: sum_{i<j} (-1)^{i+j} c([a_i, a_j], ...omit i, j...)."""
@@ -206,13 +155,6 @@ def ce_coboundary(c: Cochain, *args: LatticeOperator):
         value = c(commutator(args[i], args[j]), *rest)
         terms.append(-value if (i + j) % 2 else value)
     return reduce(add, terms)
-
-
-def form_differential(alpha: Cochain) -> Cochain:
-    """Chevalley-Eilenberg differential:
-    (d alpha)(a_0..a_p) = sum_{i<j} (-1)^{i+j} alpha([a_i, a_j], rest)."""
-    return Cochain(alpha.arity + 1,
-                   lambda *args: ce_coboundary(alpha, *args))
 
 
 # The trace cocycle sums sign(s) tr(omega(s1, s2) ... omega(s(2k-1), s(2k)))
@@ -265,17 +207,6 @@ def _pair_trace(x: dict, y: dict) -> GaussianRational:
     return total
 
 
-def _representative(s) -> tuple[tuple[int, ...], bool]:
-    """The class representative of the permutation s, and whether an odd
-    number of its pairs were swapped to reach it."""
-    pairs = [(s[t], s[t + 1]) for t in range(0, len(s), 2)]
-    flip = sum(1 for i, j in pairs if i > j) % 2 == 1
-    pairs = [(min(p), max(p)) for p in pairs]
-    lead = next(t for t, p in enumerate(pairs) if p[0] == 0)
-    rep = tuple(i for p in pairs[lead:] + pairs[:lead] for i in p)
-    return rep, flip
-
-
 @dataclass(frozen=True)
 class ChernExpansion:
     """The level-k trace cocycle on one operator tuple, as one term per
@@ -295,12 +226,23 @@ class ChernExpansion:
 
     def table(self):
         """Every permutation s of S_2k, in itertools order, as
-        (s, sign(s), trace of its curvature product)."""
-        traces = dict(self.terms)
+        (s, sign(s), trace of its curvature product).
+
+        Each term stands for the 2^k k members of its class: every cyclic
+        rotation of the representative's pairs, with every subset of the
+        pairs swapped.  A rotation of pairs is an even permutation, so a
+        member with an odd number of swapped pairs carries -sign, -trace.
+        """
         rows = []
-        for s in permutations(range(2 * self.k)):
-            rep, flip = _representative(s)
-            rows.append((s, perm_sign(s), -traces[rep] if flip else traces[rep]))
+        for rep, trace in self.terms:
+            sign = perm_sign(rep)
+            signed = ((sign, trace), (-sign, -trace))
+            pairs = [rep[t:t + 2] for t in range(0, len(rep), 2)]
+            for r in range(self.k):
+                for member in product(*((p, p[::-1]) for p in pairs[r:] + pairs[:r])):
+                    swaps = sum(i > j for i, j in member)
+                    rows.append((sum(member, ()), *signed[swaps % 2]))
+        rows.sort(key=itemgetter(0))
         return rows
 
 

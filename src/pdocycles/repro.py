@@ -1,6 +1,8 @@
 """Replication harness: closed-form case analysis for the curvature on
 z-powers, sign-count tables, cross-level comparisons and verification
-sweeps.
+sweeps, and the oracle routes they check against: the operator-valued
+form calculus (wedge, bracket, Chevalley-Eilenberg differential), the
+commutator formula for the curvature and the dense-window brute force.
 
 Every quantity here is computed along at least two independent routes
 (closed-form predicates vs. structural operator arithmetic vs. dense
@@ -13,20 +15,18 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 from .errors import InternalMismatch
 from .forms import (
+    Cochain,
     ce_coboundary,
     chern_cocycle,
     chern_cochain,
     curvature,
-    curvature_form,
-    form_bracket,
-    form_differential,
-    form_wedge,
     perm_sign,
     schwinger_cocycle,
-    theta_form,
+    theta,
 )
 from .lattice import (
     LatticeOperator,
@@ -311,6 +311,67 @@ def random_symbol(rng: random.Random, dim: int = 1, order_min: int = -2,
                            random_laurent(rng, dim))
              for t in range(depth)]
     return FormalSymbol(dim, order, parts)
+
+
+# -- oracle routes: the commutator formula and the form calculus ---------------
+
+def smoothing_part(a: LatticeOperator, b: LatticeOperator) -> LatticeOperator:
+    """a [p+, b] p+ - b [p+, a] p+; structurally equal to curvature(a, b)."""
+    p = op_projection_plus(a.dim)
+    return (compose(compose(a, commutator(p, b)), p)
+            - compose(compose(b, commutator(p, a)), p))
+
+
+def theta_form() -> Cochain:
+    return Cochain(1, theta)
+
+
+def curvature_form() -> Cochain:
+    return Cochain(2, curvature)
+
+
+def form_wedge(alpha: Cochain, beta: Cochain) -> Cochain:
+    """(alpha ^ beta)(a_1..a_{p+q}) =
+    1/(p! q!) sum over permutations s of sign(s) *
+    alpha(first p of s) o beta(last q of s)."""
+    p, q = alpha.arity, beta.arity
+    norm = GaussianRational(Fraction(1, factorial(p) * factorial(q)))
+
+    def rule(*args):
+        total = LatticeOperator.zero(args[0].dim)
+        for s in permutations(range(p + q)):
+            first = alpha(*(args[i] for i in s[:p]))
+            second = beta(*(args[i] for i in s[p:]))
+            term = compose(first, second)
+            if perm_sign(s) < 0:
+                term = -term
+            total = total + term
+        return total.scale(norm)
+
+    return Cochain(p + q, rule)
+
+
+def form_bracket(alpha: Cochain, beta: Cochain) -> Cochain:
+    """[alpha, beta] = alpha ^ beta - (-1)^{pq} beta ^ alpha."""
+    p, q = alpha.arity, beta.arity
+    ab = form_wedge(alpha, beta)
+    ba = form_wedge(beta, alpha)
+    flip = (-1) ** (p * q)
+
+    def rule(*args):
+        second = ba(*args)
+        if flip > 0:
+            return ab(*args) - second
+        return ab(*args) + second
+
+    return Cochain(p + q, rule)
+
+
+def form_differential(alpha: Cochain) -> Cochain:
+    """Chevalley-Eilenberg differential:
+    (d alpha)(a_0..a_p) = sum_{i<j} (-1)^{i+j} alpha([a_i, a_j], rest)."""
+    return Cochain(alpha.arity + 1,
+                   lambda *args: ce_coboundary(alpha, *args))
 
 
 # -- sweeps ----------------------------------------------------------------------

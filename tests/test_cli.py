@@ -136,6 +136,13 @@ class TestCocycle:
         assert code == 2
         assert "k=1" in err
 
+    def test_symbol_level_refuses_verbose(self, capsys):
+        # The permutation table belongs to the operator level.
+        code, out, err = run(capsys, "cocycle", "--k", "1", "--level", "symbol",
+                             "--verbose", "z^-1", "z")
+        assert (code, out) == (2, "")
+        assert err.startswith("invalid configuration: --verbose")
+
 
 class TestResidue:
     def test_commutator_residue_vanishes(self, capsys):
@@ -298,6 +305,28 @@ class TestOperandsFile:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"parse error: expression '1/2' is a scalar, not {noun}\n"
+
+    TERM = {"m": 0, "matrix": [[["1", "0"]]]}
+
+    @pytest.mark.parametrize("argv, content", [
+        (["omega", "A", "z"], [TERM]),
+        (["omega", "A", "z"], {"A": 5}),
+        (["omega", "A", "z"], {"A": {"dim": 1, "terms": [{"matrix": [[["1", "0"]]]}]}}),
+        (["omega", "A", "z"], {"A": {"dim": 1, "terms": [
+            {"m": 0, "matrix": [[["1", "0", "2"]]]}]}}),
+        (["omega", "A", "z"], {"A": {"dim": 1, "terms": [{"m": 0, "matrix": 7}]}}),
+        (["omega", "A", "z"], {"A": {"dim": 1, "terms": [
+            {"m": 0, "matrix": [[["1/0", "0"]]]}]}}),
+        (["residue", "S"], {"S": {"dim": 1, "parts": [{"plus": [TERM]}]}}),
+    ], ids=["list", "not-an-object", "term-without-m", "entry-not-a-pair",
+            "matrix-not-a-list", "zero-denominator", "part-without-degree"])
+    def test_malformed_file_refused(self, capsys, tmp_path, argv, content):
+        path = tmp_path / "ops.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run(capsys, *argv, "--operands", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("invalid configuration: ")
+        assert "Traceback" not in err
 
 
 class TestExitPaths:

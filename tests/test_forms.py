@@ -15,19 +15,13 @@ from pdocycles.forms import (
     chern_cocycle,
     chern_expansion,
     curvature,
-    curvature_form,
     curvature_modes,
-    form_bracket,
-    form_differential,
-    form_wedge,
     hochschild_coboundary,
     nonvanishing_witness,
     perm_sign,
     schwinger_cochain,
     schwinger_cocycle,
-    smoothing_part,
     theta,
-    theta_form,
 )
 from pdocycles.lattice import (
     LatticeOperator,
@@ -46,7 +40,16 @@ from pdocycles.lattice import (
 )
 from pdocycles.laurent import LaurentPoly
 from pdocycles.matrices import MatrixCoeff
-from pdocycles.repro import random_span_element, span_generators
+from pdocycles.repro import (
+    curvature_form,
+    form_bracket,
+    form_differential,
+    form_wedge,
+    random_span_element,
+    smoothing_part,
+    span_generators,
+    theta_form,
+)
 from pdocycles.scalars import GaussianRational
 
 ZERO = GaussianRational(0)
@@ -403,6 +406,35 @@ class TestClassReduction:
         args = [op_z_power(m) for m in (-1, 1, -2, 2, -3, 3)]
         for k, classes in ((1, 1), (2, 3), (3, 30)):
             assert len(chern_expansion(k, *args[:2 * k]).terms) == classes
+
+
+def reference_class(s):
+    """The class map the table used to run per row, kept as its reference:
+    the representative of the permutation s (pairs in increasing order,
+    the pair holding 0 first) and whether an odd number of its pairs were
+    swapped to reach it."""
+    pairs = [(s[t], s[t + 1]) for t in range(0, len(s), 2)]
+    flip = sum(1 for i, j in pairs if i > j) % 2 == 1
+    pairs = [(min(p), max(p)) for p in pairs]
+    lead = next(t for t, p in enumerate(pairs) if p[0] == 0)
+    return tuple(i for p in pairs[lead:] + pairs[:lead] for i in p), flip
+
+
+class TestTableExpansion:
+    @pytest.mark.parametrize("ms", [(-1, 1), (2, -1, 1, -2),
+                                    (1, -2, -1, 3, 2, -3),
+                                    (4, -1, 2, -3, 1, -4, 3, -2)])
+    def test_table_matches_reference_class_map(self, ms):
+        k = len(ms) // 2
+        expansion = chern_expansion(k, *(op_z_power(m) for m in ms))
+        traces = dict(expansion.terms)
+        rows = expansion.table()
+        assert [s for s, _, _ in rows] == list(permutations(range(2 * k)))
+        assert any(t for _, _, t in rows)
+        for s, sign, trace in rows:
+            assert sign == perm_sign(s)
+            rep, flip = reference_class(s)
+            assert trace == (-traces[rep] if flip else traces[rep])
 
 
 class TestCoboundaries:

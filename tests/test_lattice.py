@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdocycles.errors import BudgetExceeded, NotTraceComputable
 from pdocycles.lattice import (
@@ -14,6 +15,7 @@ from pdocycles.lattice import (
     dense_mul,
     dense_trace,
     exact_rank,
+    make_profile,
     op_abs_derivative,
     op_derivative,
     op_finite,
@@ -24,7 +26,8 @@ from pdocycles.lattice import (
     op_z_power,
 )
 from pdocycles.laurent import LaurentPoly
-from pdocycles.matrices import MatrixCoeff
+from pdocycles.matrices import MatPoly, MatrixCoeff
+from pdocycles.repro import span_generators
 from pdocycles.scalars import GaussianRational
 
 ONE = GaussianRational(1)
@@ -302,3 +305,68 @@ def test_window_budget_checked_before_filling():
     assert (near + op_finite(1, {(n - 1, n - 1): ident})).trace() == 2
     with pytest.raises(BudgetExceeded):
         near + op_finite(1, {(n, n): ident})
+
+
+# -- algebra properties -------------------------------------------------------
+
+coefficients = st.builds(
+    lambda re, im, den: GaussianRational(Fraction(re, den), im),
+    st.integers(-3, 3), st.integers(-1, 1), st.sampled_from((1, 2)))
+
+# z^m, z^m o D for |m| <= 2, D, |D|, the three projections and 1.
+POOL = span_generators(1, 2, include_abs=True) + generator_pool()[4:7]
+
+
+@st.composite
+def span_elements(draw):
+    out = LatticeOperator.zero(1)
+    for gen, c in draw(st.lists(st.tuples(st.sampled_from(POOL), coefficients),
+                                min_size=1, max_size=3)):
+        out = out + gen.scale(c)
+    return out
+
+
+finite_ranks = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    coefficients.map(lambda c: MatrixCoeff([[c]])),
+    min_size=1, max_size=4).map(lambda entries: op_finite(1, entries))
+
+polys = st.lists(coefficients.map(lambda c: MatrixCoeff([[c]])),
+                 max_size=3).map(lambda cs: MatPoly(1, cs))
+
+
+@settings(max_examples=25, deadline=None)
+@given(span_elements(), span_elements(), span_elements())
+def test_compose_associative_and_distributive(a, b, c):
+    assert compose(compose(a, b), c) == compose(a, compose(b, c))
+    assert compose(a, b + c) == compose(a, b) + compose(a, c)
+    assert compose(a + b, c) == compose(a, c) + compose(b, c)
+
+
+@settings(max_examples=25, deadline=None)
+@given(polys, st.integers(-4, 2), st.integers(1, 5), polys,
+       st.dictionaries(st.integers(-5, 7),
+                       coefficients.map(lambda c: MatrixCoeff([[c]])),
+                       max_size=4))
+def test_make_profile_returns_canonical_profile_unchanged(left, lo, width, right,
+                                                          window):
+    hi = lo + width
+    prof = make_profile(left, lo, window, hi, right)
+    if prof is None:
+        return
+    again = make_profile(prof.left, prof.left_bound, prof.window,
+                         prof.right_bound, prof.right)
+    assert again == prof
+    assert (again.left_bound, again.right_bound) == (prof.left_bound,
+                                                     prof.right_bound)
+    # canonicalizing keeps every entry
+    for k in range(lo - 2, hi + 3):
+        raw = (left.eval(k) if k <= lo else right.eval(k) if k >= hi
+               else window.get(k, MatrixCoeff.zero(1)))
+        assert prof.entry(k) == raw
+
+
+@settings(max_examples=25, deadline=None)
+@given(finite_ranks, span_elements())
+def test_trace_of_commutator_with_finite_rank_vanishes(f, x):
+    assert commutator(f, x).trace() == 0
